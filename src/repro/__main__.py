@@ -27,11 +27,13 @@ Commands:
                             mutated schedules) and triage every cell;
                             resilience knobs: --journal, --resume,
                             --deadline-s, --rss-mb, --retries;
-                            dispatch backend: --backend
-                            auto|inproc|pool|fabric (fabric shards
+                            dispatch backend: --backend auto|fabric
+                            (auto: serial, or the supervised pool with
+                            --workers > 1 or a budget; fabric shards
                             cells across socket-connected workers
                             with lease-based at-least-once dispatch);
-                            execution kernel: --kernel interp|compiled
+                            execution kernel on every backend:
+                            --kernel interp|compiled
     chaos replay BUNDLE     deterministically re-execute a shrunk
                             failure bundle and compare outcomes
     worker                  join a campaign fabric as a remote worker:
@@ -352,7 +354,7 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
         specimen_campaign,
         standard_campaign,
     )
-    from .errors import CampaignInterrupted
+    from .errors import CampaignInterrupted, ResilienceError
     from .resilience import (
         EXIT_RESUMABLE,
         CellBudget,
@@ -415,7 +417,6 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
                 retry=retry,
                 journal=args.journal,
                 resume=args.resume,
-                pool=args.pool,
                 backend=args.backend,
                 kernel=args.kernel,
                 fabric=fabric,
@@ -443,6 +444,11 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
                 "resumable)"
             )
         return EXIT_RESUMABLE
+    except ResilienceError as exc:  # misuse, e.g. a knob fabric refuses
+        if fabric is not None:
+            fabric.close()
+        print(f"chaos run: {exc}", file=sys.stderr)
+        return 2
     except BaseException:
         if fabric is not None:
             fabric.close()  # never leak the listener on an error path
@@ -544,7 +550,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         load_baseline,
         render,
         run_benchmarks,
-        supervised_overhead_problems,
     )
 
     if args.compare:
@@ -554,11 +559,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     results = run_benchmarks(smoke=args.smoke, workers=args.workers)
     print(render(results))
-    overhead_problems = (
-        supervised_overhead_problems(results)
-        + fabric_overhead_problems(results)
-        + kernel_speedup_problems(results)
-    )
+    overhead_problems = [
+        *fabric_overhead_problems(results),
+        *kernel_speedup_problems(results),
+    ]
     for problem in overhead_problems:
         print(f"OVERHEAD: {problem}")
     payload = {
@@ -884,13 +888,6 @@ def main(argv: list[str] | None = None) -> int:
         "(default: RetryPolicy's 2)",
     )
     p.add_argument(
-        "--pool",
-        choices=["supervised", "raw"],
-        default="supervised",
-        help="worker pool implementation; 'raw' is the legacy "
-        "ProcessPoolExecutor, kept for overhead benchmarking",
-    )
-    p.add_argument(
         "--inject-worker-kill",
         type=int,
         metavar="CELL",
@@ -900,21 +897,26 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument(
         "--backend",
-        choices=["auto", "inproc", "pool", "fabric"],
+        choices=["auto", "fabric"],
         default="auto",
-        help="dispatch substrate: in-process, local worker pool, or "
-        "the multi-host fabric (lease-based at-least-once dispatch "
-        "over sockets; degrades to the local pool if no worker "
-        "registers); reports are byte-identical across backends",
+        help="dispatch substrate: 'auto' runs in-process, or on the "
+        "supervised local pool when --workers > 1 or a budget or "
+        "kill drill is set; 'fabric' shards cells over socket-"
+        "connected workers (lease-based at-least-once dispatch; "
+        "degrades to the local pool if no worker registers; refuses "
+        "--deadline-s, --rss-mb and --inject-worker-kill, which "
+        "remote workers cannot enforce); reports are byte-identical "
+        "across backends",
     )
     p.add_argument(
         "--kernel",
         choices=["interp", "compiled"],
         default="interp",
-        help="execution kernel per cell: the interpreted executor, or "
-        "compiled step functions with per-automaton fallback (serial "
-        "in-process compiled runs batch cells into lockstep lanes); "
-        "reports are byte-identical across kernels",
+        help="execution kernel on every backend: the interpreted "
+        "executor, or compiled step functions with per-automaton "
+        "fallback (serial runs batch cells into lockstep lanes; pool "
+        "and fabric workers run one cell at a time); reports are "
+        "byte-identical across kernels",
     )
     p.add_argument(
         "--listen",

@@ -83,10 +83,6 @@ KERNEL_SPEEDUP_MIN = {
     "campaign_compiled_seed_sweep": 2.5,
 }
 
-#: Maximum tolerated supervised-pool slowdown vs the raw
-#: ``ProcessPoolExecutor`` on the same cells (fraction of raw rate).
-SUPERVISED_OVERHEAD_MAX = 0.10
-
 #: Maximum tolerated loopback-fabric slowdown vs the supervised pool
 #: on the same cells (fraction of supervised rate).  The fabric adds
 #: framing, leases, and heartbeats per cell; none of that may cost
@@ -377,34 +373,6 @@ def _bench_campaign_sweep(seeds: int, *, kernel: str) -> dict[str, Any]:
     }
 
 
-def _bench_campaign_pools(cells: int, workers: int) -> dict[str, Any]:
-    """Supervised pool vs raw ``ProcessPoolExecutor`` on identical
-    cells: the resilience layer's crash detection, budget plumbing, and
-    per-worker pipes must cost less than
-    :data:`SUPERVISED_OVERHEAD_MAX` of raw throughput."""
-    from .chaos import run_campaign, smoke_campaign
-
-    spec = smoke_campaign()
-    t0 = time.perf_counter()
-    supervised = run_campaign(spec, limit=cells, workers=workers)
-    supervised_wall = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    raw = run_campaign(spec, limit=cells, workers=workers, pool="raw")
-    raw_wall = time.perf_counter() - t0
-    assert supervised.render() == raw.render()  # same cells, same report
-    supervised_rate = len(supervised.records) / supervised_wall
-    raw_rate = len(raw.records) / raw_wall
-    return {
-        "wall_s": supervised_wall,
-        "cells_per_s": supervised_rate,
-        "raw_cells_per_s": raw_rate,
-        "raw_wall_s": raw_wall,
-        "overhead_frac": 1.0 - supervised_rate / raw_rate,
-        "cells": len(supervised.records),
-        "workers": workers,
-    }
-
-
 def _bench_campaign_fabric(cells: int, workers: int) -> dict[str, Any]:
     """Loopback fabric vs the supervised pool on identical cells: the
     lease/heartbeat/framing machinery must cost less than
@@ -474,26 +442,6 @@ def _bench_campaign_fabric(cells: int, workers: int) -> dict[str, Any]:
         "workers": workers,
         "fabric": fabric.fabric.summary() if fabric.fabric else "",
     }
-
-
-def supervised_overhead_problems(
-    results: Mapping[str, Mapping[str, Any]],
-    *,
-    max_overhead: float = SUPERVISED_OVERHEAD_MAX,
-) -> list[str]:
-    """Gate the supervised pool's measured overhead against the raw
-    pool from the same run (empty list = within budget or not run)."""
-    metrics = results.get("campaign_supervised")
-    if not metrics or "overhead_frac" not in metrics:
-        return []
-    overhead = metrics["overhead_frac"]
-    if overhead > max_overhead:
-        return [
-            f"campaign_supervised: supervised pool is "
-            f"{overhead:.1%} slower than the raw pool "
-            f"(budget: {max_overhead:.0%})"
-        ]
-    return []
 
 
 def fabric_overhead_problems(
@@ -622,7 +570,7 @@ def run_benchmarks(
         "campaign_compiled_seed_sweep": lambda: _bench_campaign_sweep(
             sweep_seeds, kernel="compiled"
         ),
-        "campaign_supervised": lambda: _bench_campaign_pools(
+        "campaign_supervised": lambda: _bench_campaign(
             cells, max(2, workers)
         ),
         "campaign_fabric_loopback": lambda: _bench_campaign_fabric(

@@ -3,11 +3,12 @@
 A :class:`CampaignSpec` declares axes — workloads (task + detector +
 algorithm), failure patterns (explicit or injector-derived), schedulers,
 detector seeds, and stabilization times — and :func:`run_campaign`
-executes their cross-product.  Each cell runs traced, its detector
-history is validated against the ``check_history`` oracle *before* the
-run, and the outcome is classified; a failing cell is recorded and the
-campaign continues, so one bad interleaving never hides the rest of the
-space.
+executes their cross-product.  Each cell's detector history is
+validated against the ``check_history`` oracle *before* the run, and
+the outcome is classified; a failing cell is recorded and the campaign
+continues, so one bad interleaving never hides the rest of the space.
+Every backend runs cells through one function (:func:`run_cells`) and
+ships back one row per cell (:meth:`CellRecord.row`).
 
 Fan-out goes through the resilience layer
 (:mod:`repro.resilience.supervisor`): workers run under per-cell
@@ -22,9 +23,8 @@ campaign renders a report byte-identical to an uninterrupted serial one.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import os
-import signal
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping, Sequence
@@ -90,7 +90,7 @@ QUARANTINE_OUTCOMES = frozenset(
 )
 
 #: ``run_campaign`` dispatch backends (see its docstring).
-BACKENDS = ("auto", "inproc", "pool", "fabric")
+BACKENDS = ("auto", "fabric")
 
 #: ``run_campaign`` execution kernels: the interpreted executor, or the
 #: compiled kernel (:mod:`repro.kernel`) with per-automaton fallback.
@@ -170,7 +170,11 @@ class CellRecord:
     deliberately absent from :meth:`format_row` so that a cell that was
     lost to a worker crash and re-run renders identically to one that
     succeeded first try (retried runs are deterministic re-executions).
-    ``result`` is ``None`` for journal-replayed and quarantined cells.
+
+    ``result`` is the traced run of a direct :func:`run_cell` call (the
+    shrinker and bundle replay read it).  :func:`run_campaign` builds
+    every record from a :meth:`row` via :meth:`from_row`, so its records
+    carry ``result=None`` on every backend.
     """
 
     cell: CellSpec
@@ -182,6 +186,28 @@ class CellRecord:
 
     def format_row(self) -> str:
         return f"{self.outcome:18} {self.steps:>7}  {self.cell.label()}"
+
+    def row(self) -> dict[str, Any]:
+        """The wire form every backend ships back for a cell (journal
+        lines and fabric result frames carry the same keys)."""
+        return {
+            "outcome": self.outcome,
+            "detail": self.detail,
+            "steps": self.steps,
+        }
+
+    @classmethod
+    def from_row(
+        cls, cell: CellSpec, row: Mapping[str, Any], *, attempts: int = 1
+    ) -> "CellRecord":
+        """Rebuild a record from its :meth:`row`."""
+        return cls(
+            cell,
+            str(row.get("outcome", OUTCOME_ERROR)),
+            detail=str(row.get("detail", "")),
+            steps=int(row.get("steps", 0)),
+            attempts=attempts,
+        )
 
 
 @dataclass
@@ -401,6 +427,7 @@ def run_cell(
     scheduler: Scheduler | None = None,
     strict_traces: bool = False,
     kernel: str = "interp",
+    trace: bool = True,
 ) -> CellRecord:
     """Execute one cell: build, validate the history, run, classify.
 
@@ -409,7 +436,8 @@ def run_cell(
     ``kernel="compiled"`` runs through the compiled kernel
     (:func:`repro.kernel.execute_compiled`), which falls back
     per-automaton to the interpreter and produces byte-identical
-    records.
+    records.  ``trace`` records the run's trace on ``record.result``;
+    :func:`run_cells` turns it off unless ``strict_traces`` needs it.
     """
     if kernel not in KERNELS:
         raise ResilienceError(f"unknown kernel: {kernel!r}")
@@ -427,119 +455,100 @@ def run_cell(
         scheduler if scheduler is not None
         else build_scheduler(cell.scheduler),
         max_steps=cell.max_steps,
-        trace=True,
+        trace=trace,
     )
     return _classify_record(
         cell, task, result, strict_traces=strict_traces
     )
 
 
-def _run_cell_guarded(args: tuple) -> CellRecord:
-    """Module-level (picklable) cell runner shared by the serial and
-    pool paths; a raising cell degrades to an ``"error"`` record instead
-    of aborting the sweep.
+def run_cells(
+    jobs: Sequence[tuple[int, CellSpec]],
+    *,
+    kernel: str,
+    strict_traces: bool,
+    record_result: Callable[[int, dict[str, Any]], None],
+) -> None:
+    """Execute ``jobs`` — ``(index, CellSpec)`` pairs — delivering one
+    :meth:`CellRecord.row` per cell via ``record_result(index, row)``.
 
-    ``args`` is ``(cell, strict_traces, *rest)``; ``rest`` may carry a
-    kernel name (``str``, e.g. ``"compiled"``) and/or the raw-pool
-    fault-drill flag (truthy non-str): the worker SIGKILLs itself
-    *before* running the cell, simulating an OOM killer / operator kill
-    mid-sweep (resubmissions clear the flag).
+    This is the worker-side cell path of every backend: the serial
+    backend passes all remaining cells, a pool worker or fabric worker
+    one cell.  ``kernel="compiled"`` batches the cells into lockstep
+    lanes (:func:`repro.kernel.lanes.run_cells_compiled`);
+    ``kernel="interp"`` runs them one by one.  Either way a run is
+    traced only under ``strict_traces`` (plain classification never
+    reads the trace), and a cell that raises becomes an ``"error"`` row
+    instead of aborting the sweep.
     """
-    cell, strict_traces, *rest = args
-    kernel = "interp"
-    for extra in rest:
-        if isinstance(extra, str):
-            kernel = extra
-        elif extra:
-            os.kill(os.getpid(), signal.SIGKILL)
-    try:
-        return run_cell(
-            cell, strict_traces=strict_traces, kernel=kernel
+    if kernel not in KERNELS:
+        raise ResilienceError(f"unknown kernel: {kernel!r}")
+
+    def deliver(index: int, record: CellRecord) -> None:
+        record_result(index, record.row())
+
+    if kernel == "compiled":
+        from ..kernel.lanes import run_cells_compiled
+
+        run_cells_compiled(
+            jobs, strict_traces=strict_traces, record_result=deliver
         )
-    except Exception as exc:  # noqa: BLE001 - triage, don't abort
-        return CellRecord(
-            cell, OUTCOME_ERROR, detail=f"{type(exc).__name__}: {exc}"
-        )
+        return
+    for index, cell in jobs:
+        try:
+            record = run_cell(
+                cell, strict_traces=strict_traces, trace=strict_traces
+            )
+        except Exception as exc:  # noqa: BLE001 - triage, don't abort
+            record = CellRecord(
+                cell, OUTCOME_ERROR, detail=f"{type(exc).__name__}: {exc}"
+            )
+        deliver(index, record)
 
 
-def _record_from_job(cell: CellSpec, job: JobResult) -> CellRecord:
-    """Map a supervised :class:`~repro.resilience.JobResult` onto a
-    :class:`CellRecord` (quarantined jobs become triaged outcomes)."""
+def run_cell_row(
+    cell: CellSpec, *, kernel: str, strict_traces: bool
+) -> dict[str, Any]:
+    """One cell through :func:`run_cells`, returned as its row: the
+    task of a supervised pool worker and of a fabric worker."""
+    rows: list[dict[str, Any]] = []
+    run_cells(
+        [(0, cell)],
+        kernel=kernel,
+        strict_traces=strict_traces,
+        record_result=lambda _index, row: rows.append(row),
+    )
+    return rows[0]
+
+
+def _job_row(job: JobResult) -> Mapping[str, Any]:
+    """The row of a supervised :class:`~repro.resilience.JobResult`:
+    the worker's own on success, a triaged quarantine row otherwise."""
     if job.ok:
-        record = job.value
-        record.attempts = job.attempts
-        return record
+        return job.value
     if job.kind == "task_error":
-        return CellRecord(
-            cell, OUTCOME_ERROR, detail=job.detail, attempts=job.attempts
-        )
+        return {"outcome": OUTCOME_ERROR, "detail": job.detail}
     detail = job.detail
     if job.failures:
         detail = "; ".join(
             f"attempt {i + 1}: {failure.kind}"
             for i, failure in enumerate(job.failures)
         ) + f" — {job.detail}"
-    return CellRecord(cell, job.kind, detail=detail, attempts=job.attempts)
-
-
-def _run_jobs_raw(
-    jobs: list[tuple[int, tuple]],
-    workers: int,
-    record_result: Callable[[int, CellRecord], None],
-    inject_worker_kill: int | None = None,
-) -> None:
-    """Legacy ``ProcessPoolExecutor`` fan-out, kept for the supervised-
-    overhead benchmark — now with ``BrokenProcessPool`` recovery: a dead
-    worker no longer discards completed cells; finished futures are
-    harvested and only the unfinished cells are resubmitted to a fresh
-    pool (with any self-kill drill flag cleared)."""
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-    from concurrent.futures.process import BrokenProcessPool
-
-    outstanding: dict[int, tuple] = dict(jobs)
-    inject = inject_worker_kill
-    while outstanding:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        futures: dict = {}
-        try:
-            for index, payload in sorted(outstanding.items()):
-                kill_self = index == inject
-                if kill_self:
-                    inject = None  # the drill kills exactly once
-                futures[
-                    pool.submit(_run_cell_guarded, (*payload, kill_self))
-                ] = index
-            for future in as_completed(futures):
-                index = futures[future]
-                record_result(index, future.result())
-                del outstanding[index]
-        except BrokenProcessPool:
-            # Harvest every future that did finish, resubmit the rest.
-            for future, index in futures.items():
-                if index not in outstanding or not future.done():
-                    continue
-                try:
-                    record = future.result()
-                except Exception:  # noqa: BLE001 - lost with the worker
-                    continue
-                record_result(index, record)
-                del outstanding[index]
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+    return {"outcome": job.kind, "detail": detail}
 
 
 def _run_jobs_fabric(
     spec: CampaignSpec,
-    cells: Sequence[CellSpec],
-    remaining: list[tuple[int, tuple]],
+    jobs: list[tuple[int, CellSpec]],
+    kernel: str,
     fingerprint: str,
-    record_result: Callable[[int, CellRecord], None],
-    run_supervised: Callable[[list[tuple[int, tuple]], int | None], None],
+    record_row: Callable[[int, Mapping[str, Any], int], None],
+    run_supervised: Callable[[list[tuple[int, CellSpec]], int | None], None],
     fabric: Any,
     journal_writer: Any = None,
     recovered: Any = None,
 ) -> Any:
-    """Dispatch ``remaining`` through a fabric coordinator; degrade any
+    """Dispatch ``jobs`` through a fabric coordinator; degrade any
     leftover (no workers / all workers lost) to the local supervised
     pool.  Returns the coordinator's :class:`~repro.resilience.fabric.
     FabricStats`.
@@ -561,34 +570,25 @@ def _run_jobs_fabric(
         )
 
     def on_message(index: int, message: Mapping[str, Any]) -> None:
-        record_result(
-            index,
-            CellRecord(
-                cells[index],
-                str(message.get("outcome", OUTCOME_ERROR)),
-                detail=str(message.get("detail", "")),
-                steps=int(message.get("steps", 0)),
-                attempts=int(message.get("attempts", 1)),
-            ),
-        )
+        record_row(index, message, int(message.get("attempts", 1)))
 
     try:
         leftover = coordinator.run(
-            [(index, cells[index].to_json()) for index, _ in remaining],
+            [(index, cell.to_json()) for index, cell in jobs],
             on_message,
             campaign=spec.name,
             fingerprint=fingerprint,
             strict_traces=spec.strict_traces,
+            kernel=kernel,
             journal=journal_writer,
             recovered=recovered,
         )
     finally:
         coordinator.close()
     if leftover:
-        payloads = dict(remaining)
+        cells = dict(jobs)
         run_supervised(
-            [(index, payloads[index]) for index in sorted(leftover)],
-            None,
+            [(index, cells[index]) for index in sorted(leftover)], None
         )
     return coordinator.stats
 
@@ -603,7 +603,6 @@ def run_campaign(
     retry: RetryPolicy | None = None,
     journal: str | None = None,
     resume: str | None = None,
-    pool: str = "supervised",
     backend: str = "auto",
     kernel: str = "interp",
     fabric: Any = None,
@@ -617,14 +616,17 @@ def run_campaign(
     budget, recorded with a quarantine outcome (``timeout`` / ``oom`` /
     ``worker_crash`` / ``flaky``) — the sweep always continues.
 
-    ``workers`` (default: ``spec.workers``) > 1 fans the cells out over
-    a :class:`~repro.resilience.SupervisedPool` (or the legacy raw
-    ``ProcessPoolExecutor`` with ``pool="raw"``, kept for overhead
-    benchmarking).  Cells are fully determined by their spec — every
-    source of randomness is an explicit per-cell seed — and records are
-    collected in cell order, so the resulting report (including
-    :meth:`CampaignReport.render`) is byte-identical to a serial run.
+    Every backend executes cells through :func:`run_cells` and ships
+    back only each cell's row (outcome, detail, steps); records are
+    rebuilt with :meth:`CellRecord.from_row` and carry ``result=None``.
+    Cells are fully determined by their spec — every source of
+    randomness is an explicit per-cell seed — and records are collected
+    in cell order, so the resulting report (including
+    :meth:`CampaignReport.render`) is byte-identical across backends,
+    kernels, and worker counts.
 
+    ``workers`` (default: ``spec.workers``) > 1 fans the cells out over
+    a :class:`~repro.resilience.SupervisedPool`, one cell per job.
     ``budget`` arms per-cell wall-clock/RSS watchdogs inside the
     workers; setting it (or ``inject_worker_kill``) with ``workers=1``
     still routes through a one-worker supervised pool so the budget is
@@ -638,49 +640,46 @@ def run_campaign(
     ``backend`` selects the dispatch substrate:
 
     * ``"auto"`` (default) — serial in-process, unless ``workers`` > 1
-      or a budget/fault-injection knob requires a pool.
-    * ``"inproc"`` — force serial in-process execution.
-    * ``"pool"`` — force the local worker pool (supervised, or the
-      legacy raw one with ``pool="raw"``).
+      or a budget/fault-injection knob requires the supervised pool.
     * ``"fabric"`` — shard cells across socket-connected remote workers
       via a :class:`~repro.resilience.fabric.FabricCoordinator` with
       lease-based at-least-once dispatch and idempotent result dedup
       (pass ``fabric`` as a :class:`~repro.resilience.fabric.
       FabricConfig`, a pre-bound coordinator, or ``None`` for loopback
-      defaults).  If no worker ever registers — or every worker
-      vanishes past the degrade window — the remaining cells run
-      through the local supervised pool instead, and
-      ``report.fabric.degraded`` records that it happened.  Either
-      way the report is byte-identical to a serial run.  With
-      ``journal``, the coordinator also logs its control-plane events
-      (lease grants/expiries, bench decisions), and ``resume`` then
-      restarts a SIGKILLed coordinator in recovery mode: journaled
-      cells are never redispatched, workers still holding valid
-      leases are re-admitted on reconnect, and spooled worker results
-      are replayed idempotently.
+      defaults).  Remote workers are not supervised, so ``budget`` and
+      ``inject_worker_kill`` are refused with
+      :class:`~repro.errors.ResilienceError`.  If no worker ever
+      registers — or every worker vanishes past the degrade window —
+      the remaining cells run through the local supervised pool
+      instead, and ``report.fabric.degraded`` records that it
+      happened.  With ``journal``, the coordinator also logs its
+      control-plane events (lease grants/expiries, bench decisions),
+      and ``resume`` then restarts a SIGKILLed coordinator in recovery
+      mode: journaled cells are never redispatched, workers still
+      holding valid leases are re-admitted on reconnect, and spooled
+      worker results are replayed idempotently.
 
-    ``kernel`` selects the execution kernel per cell: ``"interp"``
-    (default) or ``"compiled"`` (:mod:`repro.kernel` — compiled step
-    functions with per-automaton interpreter fallback, proven
-    byte-identical by the kernel differential harness).  The serial
-    in-process compiled path additionally batches all cells into
-    lockstep lanes (:func:`repro.kernel.lanes.run_cells_compiled`);
-    pool workers run compiled cells one at a time.  The fabric backend
-    does not accept ``kernel="compiled"``: its remote workers negotiate
-    only cell JSON, not kernel choice.
+    ``kernel`` selects the execution kernel on every backend:
+    ``"interp"`` (default) or ``"compiled"`` (:mod:`repro.kernel` —
+    compiled step functions with per-automaton interpreter fallback,
+    proven byte-identical by the kernel differential harness).  The
+    serial backend batches all cells into lockstep lanes
+    (:func:`repro.kernel.lanes.run_cells_compiled`); pool and fabric
+    workers run each cell as a one-lane batch.  Fabric workers learn
+    the kernel from the coordinator's welcome frame.
     """
     if workers is None:
         workers = spec.workers
-    if pool not in ("supervised", "raw"):
-        raise ResilienceError(f"unknown pool kind: {pool!r}")
     if backend not in BACKENDS:
         raise ResilienceError(f"unknown backend: {backend!r}")
     if kernel not in KERNELS:
         raise ResilienceError(f"unknown kernel: {kernel!r}")
-    if kernel != "interp" and backend == "fabric":
+    if backend == "fabric" and (
+        budget is not None or inject_worker_kill is not None
+    ):
         raise ResilienceError(
-            "backend='fabric' does not support kernel="
-            f"{kernel!r}: fabric workers negotiate cell JSON only"
+            "backend='fabric' cannot enforce budget or "
+            "inject_worker_kill: remote workers run cells unsupervised"
         )
     cell_iter = spec.cells()
     if limit is not None:
@@ -703,11 +702,9 @@ def run_campaign(
             )
         for index, line in scan.cells.items():
             if 0 <= index < len(cells):
-                records[index] = CellRecord(
+                records[index] = CellRecord.from_row(
                     cells[index],
-                    line["outcome"],
-                    detail=line.get("detail", ""),
-                    steps=int(line.get("steps", 0)),
+                    line,
                     attempts=int(line.get("attempts", 1)),
                 )
         if backend == "fabric":
@@ -738,7 +735,10 @@ def run_campaign(
                 on_cell(records[emitted])
             emitted += 1
 
-    def record_result(index: int, record: CellRecord) -> None:
+    def record_row(
+        index: int, row: Mapping[str, Any], attempts: int = 1
+    ) -> None:
+        record = CellRecord.from_row(cells[index], row, attempts=attempts)
         records[index] = record
         if journal_writer is not None:
             journal_writer.append_cell(
@@ -751,72 +751,63 @@ def run_campaign(
             )
         emit_ready()
 
-    payload_tail = () if kernel == "interp" else (kernel,)
     remaining = [
-        (index, (cells[index], spec.strict_traces, *payload_tail))
+        (index, cells[index])
         for index in range(len(cells))
         if index not in records
     ]
     fabric_stats = None
 
     def run_supervised(
-        jobs: list[tuple[int, tuple]], kill_index: int | None
+        jobs: list[tuple[int, CellSpec]], kill_index: int | None
     ) -> None:
         supervised = SupervisedPool(
-            _run_cell_guarded,
+            functools.partial(
+                run_cell_row,
+                kernel=kernel,
+                strict_traces=spec.strict_traces,
+            ),
             workers=max(1, workers),
             budget=budget,
             retry=retry,
             kill_job_index=kill_index,
         )
-
-        def on_job(job: JobResult) -> None:
-            record_result(
-                job.index, _record_from_job(cells[job.index], job)
-            )
-
-        supervised.run(jobs, on_result=on_job)
+        supervised.run(
+            jobs,
+            on_result=lambda job: record_row(
+                job.index, _job_row(job), job.attempts
+            ),
+        )
 
     try:
         emit_ready()  # journal-replayed prefix first, in order
-        use_pool = (
-            backend == "pool"
-            or workers > 1
-            or budget is not None
-            or inject_worker_kill is not None
-        ) and backend != "inproc"
         if not remaining:
             pass
         elif backend == "fabric":
             fabric_stats = _run_jobs_fabric(
                 spec,
-                cells,
                 remaining,
+                kernel,
                 fingerprint,
-                record_result,
+                record_row,
                 run_supervised,
                 fabric,
                 journal_writer=journal_writer,
                 recovered=recovered,
             )
-        elif use_pool and pool == "raw":
-            _run_jobs_raw(
-                remaining, max(1, workers), record_result,
-                inject_worker_kill,
-            )
-        elif use_pool:
+        elif (
+            workers > 1
+            or budget is not None
+            or inject_worker_kill is not None
+        ):
             run_supervised(remaining, inject_worker_kill)
-        elif kernel == "compiled":
-            from ..kernel.lanes import run_cells_compiled
-
-            run_cells_compiled(
-                [(index, payload[0]) for index, payload in remaining],
-                strict_traces=spec.strict_traces,
-                record_result=record_result,
-            )
         else:
-            for index, payload in remaining:
-                record_result(index, _run_cell_guarded(payload))
+            run_cells(
+                remaining,
+                kernel=kernel,
+                strict_traces=spec.strict_traces,
+                record_result=record_row,
+            )
     except KeyboardInterrupt:
         raise CampaignInterrupted(
             f"campaign '{spec.name}' interrupted: "

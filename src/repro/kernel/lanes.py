@@ -1,11 +1,13 @@
 """Batched campaign lanes: many campaign cells advanced in lockstep
 through the compiled kernel.
 
-The serial in-process backend of :func:`repro.chaos.run_campaign`
-(``kernel="compiled"``) routes through :func:`run_cells_compiled`: every
-cell's :class:`~repro.kernel.engine.CompiledRun` becomes a *lane*, and
-the driver round-robins ``advance(CHUNK)`` over the live lanes instead
-of running each cell to completion before touching the next.  Cells are
+:func:`repro.chaos.campaign.run_cells` (``kernel="compiled"``) routes
+through :func:`run_cells_compiled` on every campaign backend — the
+serial backend with all its cells, pool and fabric workers with one
+cell each.  Every cell's :class:`~repro.kernel.engine.CompiledRun`
+becomes a *lane*, and the driver round-robins ``advance(CHUNK)`` over
+the live lanes instead of running each cell to completion before
+touching the next.  Cells are
 independent (each owns its system, scheduler, and seeds), so lockstep
 interleaving cannot change any verdict — it exists so that
 
@@ -22,9 +24,10 @@ interleaving cannot change any verdict — it exists so that
   once per group and handed out as O(1) COW copies instead of being
   re-materialized per cell.
 
-Records are delivered through the same ``record_result(index, record)``
-callback the pool backends use, so reports stay byte-identical to a
-serial interpreted run (enforced by
+Records are delivered through a ``record_result(index, record)``
+callback, and ``run_cells`` reduces each to the same row the
+interpreted path ships, so reports stay byte-identical to a serial
+interpreted run (enforced by
 :func:`repro.kernel.differential.campaign_differential`).
 """
 

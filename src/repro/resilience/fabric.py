@@ -315,8 +315,8 @@ class FabricCoordinator:
 
         Registrations collected here are *deferred* — the welcome is
         only sent at the start of :meth:`run`, which knows the campaign
-        metadata (fingerprint, ``strict_traces``) the welcome must
-        carry.  This is a warm-up hook: benches and drills use it to
+        metadata (fingerprint, ``strict_traces``, ``kernel``) the welcome
+        must carry.  This is a warm-up hook: benches and drills use it to
         keep worker interpreter start-up out of their timed region.
         Workers wait up to 10s for their welcome, so call :meth:`run`
         promptly afterwards.
@@ -365,12 +365,15 @@ class FabricCoordinator:
         campaign: str = "",
         fingerprint: str = "",
         strict_traces: bool = False,
+        kernel: str = "interp",
         journal: CampaignJournal | None = None,
         recovered: ControlPlaneState | None = None,
     ) -> set[int]:
         """Drive ``jobs`` (``(index, cell-spec JSON)`` pairs) to
         completion; ``record_result`` fires once per index with the
         worker's result message (idempotent dedup is done here).
+        ``strict_traces`` and ``kernel`` reach the workers in the
+        welcome frame.
 
         When ``journal`` is given, lease grants/expiries and bench
         decisions are appended to it as control-plane events, making
@@ -412,6 +415,7 @@ class FabricCoordinator:
             "campaign": campaign,
             "fingerprint": fingerprint,
             "strict_traces": strict_traces,
+            "kernel": kernel,
             "heartbeat_s": cfg.heartbeat_s,
             "lease_s": cfg.lease_s,
         }

@@ -31,6 +31,7 @@ available, and the connection-level reader raises
 from __future__ import annotations
 
 import json
+import select
 import socket
 import struct
 import threading
@@ -167,6 +168,18 @@ class FrameConnection:
                 )
             self._ready.extend(self._decoder.feed(data))
         return self._ready.pop(0)
+
+    def peer_gone(self) -> bool:
+        """True when the peer has already hung up (an EOF or a reset is
+        waiting on the socket).  Never blocks and consumes nothing."""
+        poller = select.poll()
+        poller.register(self.sock, select.POLLIN)
+        if not poller.poll(0):
+            return False
+        try:
+            return not self.sock.recv(1, socket.MSG_PEEK)
+        except OSError:
+            return True
 
     def shutdown(self) -> None:
         """Force both directions shut so any thread blocked in

@@ -256,32 +256,29 @@ class _Heartbeater:
 
 
 def _execute_cell(
-    cell_json: Mapping[str, Any], strict_traces: bool
+    cell_json: Mapping[str, Any], welcome: Mapping[str, Any]
 ) -> dict[str, Any]:
-    """Run one cell to a result message (imports deferred so the
-    resilience layer keeps no import-time dependency on the chaos
-    engine)."""
-    from ..chaos.campaign import CellSpec, _run_cell_guarded
+    """Run one cell to a result message, with the kernel and
+    ``strict_traces`` the coordinator's welcome names (imports deferred
+    so the resilience layer keeps no import-time dependency on the
+    chaos engine)."""
+    from ..chaos.campaign import CellSpec, run_cell_row
 
-    record = _run_cell_guarded(
-        (CellSpec.from_json(cell_json), strict_traces)
+    row = run_cell_row(
+        CellSpec.from_json(cell_json),
+        kernel=str(welcome.get("kernel", "interp")),
+        strict_traces=bool(welcome.get("strict_traces", False)),
     )
-    return {
-        "type": "result",
-        "index": -1,  # caller fills in
-        "outcome": record.outcome,
-        "detail": record.detail,
-        "steps": record.steps,
-        "attempts": record.attempts,
-    }
+    return {"type": "result", "index": -1, **row}  # caller sets index
 
 
 def serve_connection(
     conn: FrameConnection,
     stats: WorkerStats,
     *,
-    execute: Callable[[Mapping[str, Any], bool], dict[str, Any]] =
-        _execute_cell,
+    execute: Callable[
+        [Mapping[str, Any], Mapping[str, Any]], dict[str, Any]
+    ] = _execute_cell,
     expected_fingerprint: str | None = None,
     spool: ResultSpool | None = None,
     drain: threading.Event | None = None,
@@ -302,7 +299,6 @@ def serve_connection(
             "coordinator fingerprint changed across reconnect "
             "(different campaign behind the same address)"
         )
-    strict_traces = bool(welcome.get("strict_traces", False))
     heartbeat_s = float(welcome.get("heartbeat_s", 1.0))
     if spool is not None and len(spool):
         # Flush finished work from the last outage before taking new
@@ -327,12 +323,14 @@ def serve_connection(
             index = int(message["index"])
             heartbeater.hold(index)
             try:
-                result = execute(message["cell"], strict_traces)
+                result = execute(message["cell"], welcome)
             finally:
                 heartbeater.release(index)
             result["index"] = index
             stats.cells_executed += 1
             try:
+                if conn.peer_gone():
+                    raise TransportClosed("coordinator hung up mid-cell")
                 conn.send(result)
                 stats.results_sent += 1
             except TransportClosed:
@@ -366,8 +364,9 @@ def run_worker(
     seed: int = 0,
     max_attempts: int = 30,
     stats: WorkerStats | None = None,
-    execute: Callable[[Mapping[str, Any], bool], dict[str, Any]] =
-        _execute_cell,
+    execute: Callable[
+        [Mapping[str, Any], Mapping[str, Any]], dict[str, Any]
+    ] = _execute_cell,
     log: Callable[[str], None] | None = None,
     spool: ResultSpool | None = None,
     spool_path: str | Path | None = None,

@@ -16,6 +16,7 @@ import pytest
 from repro.__main__ import EXIT_QUARANTINED, chaos_exit_code, main
 from repro.chaos import OUTCOME_PARTITION, run_campaign, smoke_campaign
 from repro.resilience import (
+    CellBudget,
     ChaosProxy,
     FabricConfig,
     FabricCoordinator,
@@ -38,7 +39,7 @@ FAST_FABRIC = FabricConfig(
 )
 
 
-def _stub_execute(cell_json, strict_traces):
+def _stub_execute(cell_json, welcome):
     """Worker-side execute stub: deterministic, instant."""
     return {
         "type": "result",
@@ -308,6 +309,39 @@ class TestFabricBackend:
 
         with pytest.raises(ResilienceError, match="backend"):
             run_campaign(smoke_campaign(), limit=1, backend="carrier")
+
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"budget": CellBudget(deadline_s=5.0)},
+            {"inject_worker_kill": 0},
+        ],
+        ids=["budget", "inject_worker_kill"],
+    )
+    def test_refuses_knobs_remote_workers_cannot_enforce(self, knob):
+        # Remote workers run cells unsupervised: a budget or kill drill
+        # would be silently ignored, so it must be refused up front.
+        from repro.errors import ResilienceError
+
+        with pytest.raises(ResilienceError, match="fabric"):
+            run_campaign(
+                smoke_campaign(),
+                limit=1,
+                backend="fabric",
+                fabric=FabricConfig(register_grace_s=0.2),
+                **knob,
+            )
+
+    def test_cli_refuses_deadline_under_fabric(self, capsys):
+        code = main(
+            [
+                "chaos", "run", "--smoke", "--cells", "1",
+                "--backend", "fabric", "--register-grace-s", "0.2",
+                "--deadline-s", "5",
+            ]
+        )
+        assert code == 2
+        assert "cannot enforce budget" in capsys.readouterr().err
 
 
 class TestChaosProxy:

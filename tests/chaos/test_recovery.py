@@ -451,6 +451,38 @@ class TestServeConnectionLifecycle:
             coord_conn.close()
         assert self._heartbeat_threads() == []
 
+    def test_result_for_a_hung_up_coordinator_is_spooled(self):
+        # Over TCP, the first send after the peer closed still
+        # "succeeds" into the dead socket.  A coordinator that died
+        # while the cell ran must send the result to the spool
+        # instead, so it is replayed rather than silently lost.
+        listener = socket.create_server(("127.0.0.1", 0))
+        worker_conn = connect_framed(*listener.getsockname())
+        coord_conn = FrameConnection(listener.accept()[0])
+        listener.close()
+        spool = ResultSpool()
+        stats = WorkerStats()
+
+        def execute(cell, welcome):
+            coord_conn.close()  # the coordinator dies mid-cell
+            time.sleep(0.1)  # its FIN reaches the worker
+            return {"type": "result", "outcome": "ok", "steps": 1}
+
+        try:
+            # No heartbeat during the cell: nothing else trips the reset.
+            self._welcome(coord_conn, heartbeat_s=5.0)
+            coord_conn.send(
+                {"type": "lease", "index": 4, "cell": {}, "lease_s": 1.0}
+            )
+            with pytest.raises(TransportClosed):
+                serve_connection(
+                    worker_conn, stats, execute=execute, spool=spool
+                )
+        finally:
+            worker_conn.close()
+        assert (stats.results_sent, stats.results_spooled) == (0, 1)
+        assert spool.indices("fp") == [4]
+
     def test_wedged_heartbeater_cannot_outlive_the_connection(self):
         # Regression: a heartbeat thread blocked in ``sendall`` against
         # a peer that stopped reading (a hung socket — what a full

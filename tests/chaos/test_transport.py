@@ -114,6 +114,16 @@ class TestFrameConnection:
             with pytest.raises(TransportClosed):
                 right.recv(timeout=2.0)
 
+    def test_peer_gone_sees_hangup_without_consuming(self):
+        left, right = self._pair()
+        with right:
+            assert not right.peer_gone()
+            left.send({"n": 1})
+            assert not right.peer_gone()  # pending data is not a hangup
+            assert right.recv(timeout=2.0) == {"n": 1}  # nor consumed
+            left.close()
+            assert right.peer_gone()
+
     def test_eof_mid_frame_raises_closed(self):
         left, right = self._pair()
         frame = encode_frame({"n": 1})
