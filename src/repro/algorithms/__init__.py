@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 
-from ..lint.schema import ModuleSchema, RegisterSchema
+from ._schema import ModuleSchema, RegisterSchema
 
 #: Lint declarations for every algorithm module: which functions are
 #: C-/S-automata or kind-neutral subroutines, which register families

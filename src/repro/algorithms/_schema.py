@@ -4,9 +4,14 @@ The static linter cannot guess which generator functions are C-process
 automata, which are S-process automata, and which register families a
 module owns — so every module in :mod:`repro.algorithms` declares a
 :class:`ModuleSchema` (the registry lives in
-``repro/algorithms/__init__.py`` as ``LINT_SCHEMAS``).  The linter then
-*verifies* the declared code against the EFD step model; a function the
-schema does not name is not an automaton and is skipped.
+``repro/algorithms/__init__.py`` as ``LINT_SCHEMAS``).  The linter
+(:mod:`repro.lint`, which re-exports both classes) then *verifies* the
+declared code against the EFD step model; a function the schema does
+not name is not an automaton and is skipped.
+
+The declarations live beside the algorithms rather than in
+:mod:`repro.lint` so that importing the algorithms never loads the
+analyzer.
 
 Names may be dotted to reach nested definitions: ``"Outer.inner"``
 addresses the ``inner`` function (or method) defined inside ``Outer``.

@@ -377,18 +377,24 @@ def _bench_campaign_fabric(cells: int, workers: int) -> dict[str, Any]:
     """Loopback fabric vs the supervised pool on identical cells: the
     lease/heartbeat/framing machinery must cost less than
     :data:`FABRIC_OVERHEAD_MAX` of supervised throughput.  Worker
-    interpreters are spawned and registered *before* the fabric's timed
-    region (via ``wait_for_workers``), so the measurement is
-    steady-state dispatch overhead, not Python start-up — the
-    supervised side pays only cheap ``multiprocessing`` forks, the
-    fabric side would otherwise pay two full CLI imports."""
+    interpreters are spawned, registered, and each run one untimed
+    warm-up cell *before* the fabric's timed region, so the measurement
+    is steady-state dispatch overhead, not Python start-up or the cell
+    engine's first import — the supervised side forks workers that
+    already hold both, the fabric side would otherwise pay two full CLI
+    imports plus an engine import on each worker's first lease."""
+    import itertools
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     from .chaos import run_campaign, smoke_campaign
-    from .resilience import FabricConfig, FabricCoordinator
+    from .resilience import (
+        FabricConfig,
+        FabricCoordinator,
+        campaign_fingerprint,
+    )
 
     spec = smoke_campaign()
     t0 = time.perf_counter()
@@ -417,12 +423,31 @@ def _bench_campaign_fabric(cells: int, workers: int) -> dict[str, Any]:
     ]
     try:
         coordinator.wait_for_workers(len(procs), timeout_s=30.0)
+        # Workers keep the metadata of their first welcome, so the
+        # warm-up announces the timed campaign's own.  Its cells are the
+        # campaign's first ones: a late duplicate result is identical.
+        timed_cells = list(itertools.islice(spec.cells(), cells))
+        warm_cells = itertools.islice(spec.cells(), len(procs))
+        leftover = coordinator.run(
+            [(index, cell.to_json()) for index, cell in enumerate(warm_cells)],
+            lambda index, message: None,
+            campaign=spec.name,
+            fingerprint=campaign_fingerprint(
+                spec.name, timed_cells, spec.strict_traces
+            ),
+            strict_traces=spec.strict_traces,
+        )
+        warmed = coordinator.stats.results_by_worker
+        assert not leftover and set(warmed) == {
+            f"bench-{i}" for i in range(len(procs))
+        }, f"fabric warm-up did not reach every worker: {warmed}"
         t0 = time.perf_counter()
         fabric = run_campaign(
             spec, limit=cells, backend="fabric", fabric=coordinator
         )
         fabric_wall = time.perf_counter() - t0
     finally:
+        coordinator.close()  # already closed unless the warm-up failed
         for proc in procs:
             try:
                 proc.wait(timeout=10)
@@ -440,6 +465,7 @@ def _bench_campaign_fabric(cells: int, workers: int) -> dict[str, Any]:
         "overhead_frac": 1.0 - fabric_rate / supervised_rate,
         "cells": len(fabric.records),
         "workers": workers,
+        # The coordinator's counters include the warm-up cells.
         "fabric": fabric.fabric.summary() if fabric.fabric else "",
     }
 

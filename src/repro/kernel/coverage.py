@@ -5,8 +5,10 @@ are reached only as inlined subroutines, and which still fall back.
 ``--coverage --check`` compares it against the committed manifest
 (:data:`MANIFEST`, ``KERNEL_COVERAGE.json`` at the repo root) and fails
 if the compiled set *shrank* — an automaton that used to compile (or
-inline) now falls back.  New automata may appear freely; refresh the
-manifest with ``--coverage --write`` after deliberate compiler changes.
+inline) now falls back — or if the manifest was written by another
+compiler version (:data:`~repro.kernel.compiler.COMPILER_TAG`).  New
+automata may appear freely; refresh the manifest with ``--coverage
+--write`` after deliberate compiler changes.
 
 Statuses:
 
@@ -140,15 +142,23 @@ def check_manifest(
     rows: list[CoverageRow], root: str | Path | None = None
 ) -> list[str]:
     """Compare ``rows`` against the committed manifest; return problem
-    strings for every automaton whose coverage *regressed* (compiled or
-    inlined before, worse now, or vanished entirely).  New automata and
+    strings for a manifest recorded by another compiler version and for
+    every automaton whose coverage *regressed* (compiled or inlined
+    before, worse now, or vanished entirely).  New automata and
     upgrades pass; refresh the manifest with ``--coverage --write``."""
     path = _manifest_path(root)
     if not path.exists():
         return [f"coverage manifest missing: {path}"]
-    recorded = json.loads(path.read_text(encoding="utf-8"))["automata"]
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    recorded = manifest["automata"]
     current = {row.name: row.status for row in rows}
     problems: list[str] = []
+    if manifest.get("compiler") != COMPILER_TAG:
+        problems.append(
+            f"{MANIFEST} records compiler {manifest.get('compiler')!r} "
+            f"but the compiler is {COMPILER_TAG!r} (refresh it with "
+            "`repro kernel --coverage --write`)"
+        )
     for name, status in sorted(recorded.items()):
         now = current.get(name)
         if now is None:

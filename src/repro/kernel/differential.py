@@ -171,107 +171,32 @@ def verify_case(case: DiffCase) -> list[CaseOutcome]:
     return outcomes
 
 
-# -- workloads: battery mirrors ------------------------------------------
+# -- workloads: the strict-lint battery ----------------------------------
+
+
+#: Battery recipes longer than this get a bounded smoke case plus a
+#: ``full_only`` case that replays the linter's exact budget.
+_BATTERY_SMOKE_MAX_STEPS = 50_000
+_BATTERY_SMOKE_STEPS = 20_000
 
 
 def _battery_cases() -> Iterator[DiffCase]:
-    """Mirrors of the seven strict-lint battery recipes
-    (:func:`repro.lint.battery.battery_runs` — same factories, same
-    seeds, same envelopes)."""
-    from ..algorithms.kset_concurrent import kset_concurrent_factories
-    from ..algorithms.kset_vector import kset_factories
-    from ..algorithms.one_concurrent import one_concurrent_factories
-    from ..algorithms.renaming_figure4 import figure4_factories
-    from ..algorithms.s_helper import helper_c_factory, helper_s_factory
-    from ..algorithms.splitters import moir_anderson_factories
-    from ..algorithms.wsb_concurrent import wsb_concurrent_factories
-    from ..detectors import VectorOmegaK
-    from ..runtime import k_concurrent
-    from ..tasks import ConsensusTask
+    """One case per strict-lint battery recipe
+    (:data:`repro.lint.battery.BATTERY` — same builders, same budgets)."""
+    from ..lint.battery import BATTERY
 
-    yield DiffCase(
-        "battery:one_concurrent@1",
-        lambda: (
-            System(
-                inputs=(0, 1, 1),
-                c_factories=one_concurrent_factories(ConsensusTask(3)),
-            ),
-            k_concurrent(SeededRandomScheduler(7), 1),
-        ),
-    )
-    yield DiffCase(
-        "battery:kset_concurrent@1",
-        lambda: (
-            System(
-                inputs=(3, 4, 5),
-                c_factories=kset_concurrent_factories(3, 2),
-            ),
-            k_concurrent(SeededRandomScheduler(11), 1),
-        ),
-    )
-    yield DiffCase(
-        "battery:s_helper",
-        lambda: (
-            System(
-                inputs=(6, 7, 8),
-                c_factories=[helper_c_factory] * 3,
-                s_factories=[helper_s_factory] * 3,
-            ),
-            SeededRandomScheduler(13),
-        ),
-    )
-    yield DiffCase(
-        "battery:figure4",
-        lambda: (
-            System(inputs=(1, 2, None), c_factories=figure4_factories(3)),
-            SeededRandomScheduler(17),
-        ),
-    )
-    yield DiffCase(
-        "battery:wsb@2",
-        lambda: (
-            System(
-                inputs=(1, None, 3),
-                c_factories=wsb_concurrent_factories(3, 2),
-            ),
-            k_concurrent(SeededRandomScheduler(19), 2),
-        ),
-    )
-    yield DiffCase(
-        "battery:moir_anderson",
-        lambda: (
-            System(
-                inputs=(1, 2, 3, None, None),
-                c_factories=moir_anderson_factories(5, 3),
-            ),
-            SeededRandomScheduler(23),
-        ),
-    )
-
-    def build_kset_vector() -> tuple[System, Any]:
-        c_factories, s_factories = kset_factories(2, 1)
-        return (
-            System(
-                inputs=(0, 1),
-                c_factories=c_factories,
-                s_factories=s_factories,
-                detector=VectorOmegaK(2, 1),
-                seed=3,
-            ),
-            SeededRandomScheduler(29),
+    for recipe in BATTERY:
+        name = f"battery:{recipe.label}"
+        if recipe.max_steps <= _BATTERY_SMOKE_MAX_STEPS:
+            yield DiffCase(name, recipe.build, max_steps=recipe.max_steps)
+            continue
+        yield DiffCase(name, recipe.build, max_steps=_BATTERY_SMOKE_STEPS)
+        yield DiffCase(
+            f"{name}-full",
+            recipe.build,
+            max_steps=recipe.max_steps,
+            full_only=True,
         )
-
-    # Smoke bound keeps CI fast; the full battery replays the linter's
-    # exact 200k budget.
-    yield DiffCase(
-        "battery:kset_vector", build_kset_vector, max_steps=20_000
-    )
-    yield DiffCase(
-        "battery:kset_vector-full",
-        build_kset_vector,
-        max_steps=200_000,
-        full_only=True,
-    )
 
 
 # -- workloads: reduction-test mirrors -----------------------------------
@@ -597,8 +522,8 @@ def footprint_crosscheck(
     units, _findings = build_units()
     footprints: dict[tuple[str, str], Any] = {}
     for unit in units:
-        for name, air in unit.irs.items():
-            footprints[(unit.module.__name__, name.split(".")[0])] = (
+        for air in unit.automata:
+            footprints[(air.module_name, air.name.split(".")[0])] = (
                 air.footprint
             )
 

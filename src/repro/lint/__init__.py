@@ -8,9 +8,10 @@ reproduces.  This subpackage enforces them mechanically:
 
 * the **IR layer** (:mod:`.ir`) compiles each schema-declared automaton
   into a statement-level control-flow graph with register def/use facts
-  and a static register footprint;
+  and a static register footprint — the analyzer's one representation
+  of an automaton;
 * the **pass layer** (:mod:`.passes`) hosts declarative analyses over
-  that IR in a pluggable registry: the five original AST protocol rules,
+  that IR in a pluggable registry: the five step-model rules,
   semantic obligations (reachability-of-decide, single-writer /
   write-once ownership, query-before-use of detector advice), and —
   under ``--strict`` — the differential footprint audit that checks the
@@ -28,6 +29,7 @@ programmatically, and the ``strict=`` flag of
 and the third-party pass contract.
 """
 
+from ..algorithms._schema import ModuleSchema, RegisterSchema
 from .baseline import apply_baseline, load_baseline, write_baseline
 from .findings import Finding, LintReport
 from .formats import render_json, render_report, render_sarif
@@ -43,40 +45,34 @@ from .passes import (
     register_pass,
     resolve_passes,
 )
-from .protocol import AutomatonView, extract_automata
-from .runner import (
-    DYNAMIC_RULE_IDS,
-    SEMANTIC_RULE_IDS,
-    STATIC_RULE_IDS,
-    build_units,
-    lint_algorithms,
-    lint_module,
-)
-from .schema import ModuleSchema, RegisterSchema
-from .static_rules import (
-    ALL_RULES,
+from .passes.protocol_rules import (
     BoundedLoops,
     CNoQuery,
     DecideOnce,
     NoCASInFaithful,
     RegisterNaming,
 )
+from .runner import (
+    DYNAMIC_RULE_IDS,
+    SEMANTIC_RULE_IDS,
+    STATIC_RULE_IDS,
+    build_unit,
+    build_units,
+    lint_algorithms,
+)
 from .trace_rules import TraceAnalyzer, analyze_trace
 
 __all__ = [
     "Finding",
     "LintReport",
-    "AutomatonView",
-    "extract_automata",
     "lint_algorithms",
-    "lint_module",
+    "build_unit",
     "build_units",
     "STATIC_RULE_IDS",
     "SEMANTIC_RULE_IDS",
     "DYNAMIC_RULE_IDS",
     "ModuleSchema",
     "RegisterSchema",
-    "ALL_RULES",
     "CNoQuery",
     "DecideOnce",
     "NoCASInFaithful",

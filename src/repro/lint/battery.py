@@ -22,21 +22,45 @@ open static footprints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
+from ..algorithms.kset_concurrent import kset_concurrent_factories
+from ..algorithms.kset_vector import kset_factories
+from ..algorithms.one_concurrent import one_concurrent_factories
+from ..algorithms.renaming_figure4 import figure4_factories
+from ..algorithms.s_helper import helper_c_factory, helper_s_factory
+from ..algorithms.splitters import moir_anderson_factories
+from ..algorithms.wsb_concurrent import wsb_concurrent_factories
 from ..core.run import RunResult
+from ..core.system import System
+from ..detectors import VectorOmegaK
+from ..runtime import SeededRandomScheduler, execute, k_concurrent
+from ..tasks import ConsensusTask
 
-__all__ = ["BatteryRun", "battery_runs"]
+__all__ = ["BATTERY", "BatteryRecipe", "BatteryRun", "battery_runs"]
+
+
+@dataclass(frozen=True)
+class BatteryRecipe:
+    """How to build one reference run.
+
+    ``build`` constructs a fresh ``(system, scheduler)`` pair on every
+    call (both are stateful).  ``automaton_of`` maps a pid *name*
+    (``p1``/``q2`` …) to the ``(module, automaton)`` pair naming its
+    schema declaration, so dynamic passes can tie trace events back to
+    static IR; pids running null automata are simply absent.
+    """
+
+    label: str
+    build: Callable[[], tuple[System, Any]]
+    automaton_of: dict[str, tuple[str, str]]
+    race_check: bool
+    max_steps: int = 50_000
 
 
 @dataclass
 class BatteryRun:
-    """One traced reference run.
-
-    ``automaton_of`` maps a pid *name* (``p1``/``q2`` …) to the
-    ``(module, automaton)`` pair naming its schema declaration, so
-    dynamic passes can tie trace events back to static IR.  Pids
-    running null automata are simply absent.
-    """
+    """One traced reference run (see :class:`BatteryRecipe`)."""
 
     label: str
     result: RunResult
@@ -60,177 +84,122 @@ def _pid_map(
     return mapping
 
 
+def _build_kset_vector() -> tuple[System, Any]:
+    c_factories, s_factories = kset_factories(2, 1)
+    return (
+        System(
+            inputs=(0, 1),
+            c_factories=c_factories,
+            s_factories=s_factories,
+            detector=VectorOmegaK(2, 1),
+            seed=3,
+        ),
+        SeededRandomScheduler(29),
+    )
+
+
+#: The battery, in execution (and reporting) order.
+BATTERY: tuple[BatteryRecipe, ...] = (
+    BatteryRecipe(
+        "one_concurrent@1",
+        lambda: (
+            System(
+                inputs=(0, 1, 1),
+                c_factories=one_concurrent_factories(ConsensusTask(3)),
+            ),
+            k_concurrent(SeededRandomScheduler(7), 1),
+        ),
+        _pid_map(3, ("one_concurrent", "one_concurrent_factory")),
+        race_check=True,
+    ),
+    BatteryRecipe(
+        "kset_concurrent@1",
+        lambda: (
+            System(
+                inputs=(3, 4, 5),
+                c_factories=kset_concurrent_factories(3, 2),
+            ),
+            k_concurrent(SeededRandomScheduler(11), 1),
+        ),
+        _pid_map(3, ("kset_concurrent", "kset_concurrent_factory")),
+        race_check=True,
+    ),
+    BatteryRecipe(
+        "s_helper",
+        lambda: (
+            System(
+                inputs=(6, 7, 8),
+                c_factories=[helper_c_factory] * 3,
+                s_factories=[helper_s_factory] * 3,
+            ),
+            SeededRandomScheduler(13),
+        ),
+        _pid_map(
+            3,
+            ("s_helper", "helper_c_factory"),
+            3,
+            ("s_helper", "helper_s_factory"),
+        ),
+        race_check=True,
+    ),
+    BatteryRecipe(
+        "figure4",
+        lambda: (
+            System(inputs=(1, 2, None), c_factories=figure4_factories(3)),
+            SeededRandomScheduler(17),
+        ),
+        _pid_map(3, ("renaming_figure4", "figure4_factory")),
+        race_check=False,
+    ),
+    BatteryRecipe(
+        "wsb@2",
+        lambda: (
+            System(
+                inputs=(1, None, 3),
+                c_factories=wsb_concurrent_factories(3, 2),
+            ),
+            k_concurrent(SeededRandomScheduler(19), 2),
+        ),
+        _pid_map(3, ("wsb_concurrent", "wsb_concurrent_factory")),
+        race_check=False,
+    ),
+    BatteryRecipe(
+        "moir_anderson",
+        lambda: (
+            System(
+                inputs=(1, 2, 3, None, None),
+                c_factories=moir_anderson_factories(5, 3),
+            ),
+            SeededRandomScheduler(23),
+        ),
+        _pid_map(5, ("splitters", "moir_anderson_factory")),
+        race_check=False,
+    ),
+    BatteryRecipe(
+        "kset_vector",
+        _build_kset_vector,
+        _pid_map(
+            2,
+            ("kset_vector", "kset_c_factory"),
+            2,
+            ("kset_vector", "kset_s_factory"),
+        ),
+        race_check=False,
+        max_steps=200_000,
+    ),
+)
+
+
 def battery_runs() -> tuple[BatteryRun, ...]:
     """Execute the battery (fresh runs; deterministic seeds)."""
-    from ..algorithms.kset_concurrent import kset_concurrent_factories
-    from ..algorithms.kset_vector import kset_factories
-    from ..algorithms.one_concurrent import one_concurrent_factories
-    from ..algorithms.renaming_figure4 import figure4_factories
-    from ..algorithms.s_helper import helper_c_factory, helper_s_factory
-    from ..algorithms.splitters import moir_anderson_factories
-    from ..algorithms.wsb_concurrent import wsb_concurrent_factories
-    from ..core.system import System
-    from ..detectors import VectorOmegaK
-    from ..runtime import SeededRandomScheduler, execute, k_concurrent
-    from ..tasks import ConsensusTask
-
-    runs: list[BatteryRun] = []
-
-    task = ConsensusTask(3)
-    system = System(
-        inputs=(0, 1, 1), c_factories=one_concurrent_factories(task)
-    )
-    result = execute(
-        system,
-        k_concurrent(SeededRandomScheduler(7), 1),
-        trace=True,
-        max_steps=50_000,
-    )
-    runs.append(
+    return tuple(
         BatteryRun(
-            label="one_concurrent@1",
-            result=result,
-            automaton_of=_pid_map(
-                3, ("one_concurrent", "one_concurrent_factory")
+            label=recipe.label,
+            result=execute(
+                *recipe.build(), trace=True, max_steps=recipe.max_steps
             ),
-            race_check=True,
+            automaton_of=recipe.automaton_of,
+            race_check=recipe.race_check,
         )
+        for recipe in BATTERY
     )
-
-    system = System(
-        inputs=(3, 4, 5),
-        c_factories=kset_concurrent_factories(3, 2),
-    )
-    result = execute(
-        system,
-        k_concurrent(SeededRandomScheduler(11), 1),
-        trace=True,
-        max_steps=50_000,
-    )
-    runs.append(
-        BatteryRun(
-            label="kset_concurrent@1",
-            result=result,
-            automaton_of=_pid_map(
-                3, ("kset_concurrent", "kset_concurrent_factory")
-            ),
-            race_check=True,
-        )
-    )
-
-    system = System(
-        inputs=(6, 7, 8),
-        c_factories=[helper_c_factory] * 3,
-        s_factories=[helper_s_factory] * 3,
-    )
-    result = execute(
-        system,
-        SeededRandomScheduler(13),
-        trace=True,
-        max_steps=50_000,
-    )
-    runs.append(
-        BatteryRun(
-            label="s_helper",
-            result=result,
-            automaton_of=_pid_map(
-                3,
-                ("s_helper", "helper_c_factory"),
-                3,
-                ("s_helper", "helper_s_factory"),
-            ),
-            race_check=True,
-        )
-    )
-
-    system = System(
-        inputs=(1, 2, None), c_factories=figure4_factories(3)
-    )
-    result = execute(
-        system,
-        SeededRandomScheduler(17),
-        trace=True,
-        max_steps=50_000,
-    )
-    runs.append(
-        BatteryRun(
-            label="figure4",
-            result=result,
-            automaton_of=_pid_map(
-                3, ("renaming_figure4", "figure4_factory")
-            ),
-            race_check=False,
-        )
-    )
-
-    system = System(
-        inputs=(1, None, 3),
-        c_factories=wsb_concurrent_factories(3, 2),
-    )
-    result = execute(
-        system,
-        k_concurrent(SeededRandomScheduler(19), 2),
-        trace=True,
-        max_steps=50_000,
-    )
-    runs.append(
-        BatteryRun(
-            label="wsb@2",
-            result=result,
-            automaton_of=_pid_map(
-                3, ("wsb_concurrent", "wsb_concurrent_factory")
-            ),
-            race_check=False,
-        )
-    )
-
-    system = System(
-        inputs=(1, 2, 3, None, None),
-        c_factories=moir_anderson_factories(5, 3),
-    )
-    result = execute(
-        system,
-        SeededRandomScheduler(23),
-        trace=True,
-        max_steps=50_000,
-    )
-    runs.append(
-        BatteryRun(
-            label="moir_anderson",
-            result=result,
-            automaton_of=_pid_map(
-                5, ("splitters", "moir_anderson_factory")
-            ),
-            race_check=False,
-        )
-    )
-
-    c_factories, s_factories = kset_factories(2, 1)
-    system = System(
-        inputs=(0, 1),
-        c_factories=c_factories,
-        s_factories=s_factories,
-        detector=VectorOmegaK(2, 1),
-        seed=3,
-    )
-    result = execute(
-        system,
-        SeededRandomScheduler(29),
-        trace=True,
-        max_steps=200_000,
-    )
-    runs.append(
-        BatteryRun(
-            label="kset_vector",
-            result=result,
-            automaton_of=_pid_map(
-                2,
-                ("kset_vector", "kset_c_factory"),
-                2,
-                ("kset_vector", "kset_s_factory"),
-            ),
-            race_check=False,
-        )
-    )
-
-    return tuple(runs)

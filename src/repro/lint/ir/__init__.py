@@ -1,12 +1,12 @@
-"""Per-automaton dataflow IR for the semantic lint passes.
+"""Per-automaton dataflow IR for the lint passes.
 
 The IR compiles each schema-declared automaton generator into a
 statement-level control-flow graph (:mod:`.cfg`) whose nodes carry the
 classified yields and register def/use facts of their statement, runs
 worklist fixpoint analyses over it (:mod:`.dataflow`), and aggregates a
-static register footprint per automaton (:mod:`.footprint`).  The
-semantic passes in :mod:`repro.lint.passes` are thin clients of this
-layer.
+static register footprint per automaton (:mod:`.footprint`).  It is
+the analyzer's one representation of an automaton: every pass in
+:mod:`repro.lint.passes` is a thin client of this layer.
 """
 
 from .cfg import CFG, CFGNode, YieldStep, build_cfg

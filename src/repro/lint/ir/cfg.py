@@ -1,26 +1,30 @@
 """Statement-level control-flow graphs over automaton generators.
 
+This is the analyzer's one representation of an automaton: every pass
+in :mod:`repro.lint.passes` — the five step-model rules, the semantic
+obligations, and footprint inference — reads it.
+
 Every statement in the generator's own scope becomes one
-:class:`CFGNode` carrying the facts the dataflow passes consume: the
-yields classified in the statement's *header* (the test of a loop, the
-value of an assignment — sub-blocks get their own nodes), the local
-names the header defines and uses, and which of those definitions bind
+:class:`CFGNode` carrying the facts the passes consume: the yields
+classified in the statement's *header* (the test of a loop, the value
+of an assignment — sub-blocks get their own nodes), the local names
+the header defines and uses, and which of those definitions bind
 detector advice (``x = yield ops.QueryFD()``).
 
 The graph is conservative in the usual directions:
 
-* ``try`` bodies may raise anywhere, so every node built for the body
-  gets an edge to each handler;
+* ``try`` (and ``try``/``except*``) bodies may raise anywhere, so every
+  node built for the body gets an edge to each handler;
 * ``raise`` and ``return`` edge to the synthetic exit node (the
   executor retires a generator on either);
-* unreachable statements (after a ``return``/``break``) still get
-  nodes — with no predecessors — so rules can see them without
-  counting them as live paths;
+* unreachable statements (after a ``return``/``break``, or in the
+  ``else`` block of a ``while True`` loop) still get nodes — with no
+  predecessors — so rules can see them without counting them as live
+  paths;
 * ``match`` and other statements the builder does not model
   structurally fall through as straight-line nodes.
 
-Yield classification reuses :mod:`repro.lint.protocol`, so the IR and
-the flat extraction can never disagree about what an op is.
+Yields are classified with :func:`repro.lint.protocol.classify_yield`.
 """
 
 from __future__ import annotations
@@ -30,11 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from ...runtime import ops
-from ..protocol import (
-    ResolvedRegister,
-    classify_yield,
-    statement_own_yields,
-)
+from ..protocol import _SCOPE_BARRIERS, ResolvedRegister, classify_yield
 
 __all__ = ["YieldStep", "CFGNode", "CFG", "build_cfg"]
 
@@ -101,6 +101,11 @@ class CFG:
             if node.kind == "stmt":
                 yield node
 
+    def yields(self) -> Iterator[YieldStep]:
+        """Every classified yield of the automaton, in node order."""
+        for node in self.stmt_nodes():
+            yield from node.yields
+
     def add_edge(self, src: int, dst: int) -> None:
         if dst not in self.nodes[src].succs:
             self.nodes[src].succs.append(dst)
@@ -111,27 +116,21 @@ def _is_const_true(test: ast.expr) -> bool:
     return isinstance(test, ast.Constant) and bool(test.value)
 
 
-_SCOPE_BARRIERS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-_BLOCK_FIELDS = ("body", "orelse", "finalbody", "handlers")
+#: ``try`` statements (``ast.TryStar``, for ``except*``, is 3.11+).
+_TRY_STATEMENTS = tuple(
+    getattr(ast, name) for name in ("Try", "TryStar") if hasattr(ast, name)
+)
 
 
 def _header_nodes(stmt: ast.stmt) -> Iterator[ast.AST]:
     """AST nodes in the statement's header scope: the statement minus
     its sub-blocks and minus nested function/class bodies."""
-    nested: set[int] = set()
-    for field_name in _BLOCK_FIELDS:
-        sub = getattr(stmt, field_name, None)
-        if not sub:
-            continue
-        blocks = (
-            [handler.body for handler in sub]
-            if field_name == "handlers"
-            else [sub]
-        )
-        for block in blocks:
-            for child in block:
-                for node in ast.walk(child):
-                    nested.add(id(node))
+    blocks = [
+        getattr(stmt, name, None) or []
+        for name in ("body", "orelse", "finalbody")
+    ]
+    blocks += [handler.body for handler in getattr(stmt, "handlers", [])]
+    nested = {id(child) for block in blocks for child in block}
     stack: list[ast.AST] = list(ast.iter_child_nodes(stmt))
     while stack:
         node = stack.pop()
@@ -165,22 +164,24 @@ class _Builder:
 
     def _stmt_node(self, stmt: ast.stmt) -> CFGNode:
         yields: list[YieldStep] = []
-        for expr in statement_own_yields(stmt):
-            if isinstance(expr, ast.YieldFrom):
-                yields.append(
-                    YieldStep(expr.lineno, True, None, None, None)
-                )
-            else:
-                op, register, operand = classify_yield(
-                    expr, self.namespace
-                )
-                yields.append(
-                    YieldStep(expr.lineno, False, op, register, operand)
-                )
         defs: set[str] = set()
         uses: set[str] = set()
+        # Nested defs and classes contribute no steps, not even from
+        # their decorators or default values.
+        steps = not isinstance(stmt, _SCOPE_BARRIERS + (ast.ClassDef,))
         for node in _header_nodes(stmt):
-            if isinstance(node, ast.Name):
+            if steps and isinstance(node, ast.YieldFrom):
+                yields.append(
+                    YieldStep(node.lineno, True, None, None, None)
+                )
+            elif steps and isinstance(node, ast.Yield):
+                op, register, operand = classify_yield(
+                    node, self.namespace
+                )
+                yields.append(
+                    YieldStep(node.lineno, False, op, register, operand)
+                )
+            elif isinstance(node, ast.Name):
                 if isinstance(node.ctx, ast.Store):
                     defs.add(node.id)
                 elif isinstance(node.ctx, ast.Load):
@@ -249,13 +250,13 @@ class _Builder:
             for index in body_out:
                 self.cfg.add_edge(index, node.index)  # back edge
             exits = list(breaks)
-            if not (
-                isinstance(stmt, ast.While) and node.test_const_true
-            ):
-                if stmt.orelse:
-                    exits.extend(self._block(stmt.orelse, [node.index]))
-                else:
-                    exits.append(node.index)
+            if isinstance(stmt, ast.While) and node.test_const_true:
+                # The loop never falls through: its else block is dead.
+                exits.extend(self._block(stmt.orelse, []))
+            elif stmt.orelse:
+                exits.extend(self._block(stmt.orelse, [node.index]))
+            else:
+                exits.append(node.index)
             return exits
 
         if isinstance(stmt, ast.Break):
@@ -272,7 +273,7 @@ class _Builder:
             self.cfg.add_edge(node.index, self.cfg.exit)
             return []
 
-        if isinstance(stmt, ast.Try):
+        if isinstance(stmt, _TRY_STATEMENTS):
             mark = len(self.nodes)
             body_out = self._block(stmt.body, [node.index])
             body_nodes = list(range(mark, len(self.nodes)))

@@ -13,8 +13,8 @@ as a *fact* keyed by a declared fact id.
 Evidence kinds:
 
 ``"ast"``
-    The parsed modules with their extracted automata and IR.  Always
-    available.
+    The parsed modules with each declared automaton's CFG and static
+    footprint.  Always available.
 ``"battery"``
     Traced reference runs of the bundled algorithms inside their
     declared concurrency envelopes (:mod:`repro.lint.battery`).  Only
@@ -29,11 +29,10 @@ from dataclasses import dataclass, field
 from types import ModuleType
 from typing import TYPE_CHECKING, Any, ClassVar
 
+from ...algorithms._schema import ModuleSchema
 from ..findings import Finding
 from ..ir.cfg import CFG
 from ..ir.footprint import StaticFootprint
-from ..protocol import AutomatonView
-from ..schema import ModuleSchema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..battery import BatteryRun
@@ -49,11 +48,19 @@ __all__ = [
 
 @dataclass
 class AutomatonIR:
-    """IR bundle for one declared automaton."""
+    """One declared automaton: its generator, CFG and footprint."""
 
-    view: AutomatonView
+    name: str  #: schema name (possibly dotted)
+    kind: str  #: "C", "S", or "-" (kind-neutral subroutine)
+    file: str
+    module_name: str
+    node: ast.AST  #: the generator's FunctionDef
     cfg: CFG
     footprint: StaticFootprint
+
+    @property
+    def line(self) -> int:
+        return self.node.lineno
 
 
 @dataclass
@@ -61,12 +68,12 @@ class ModuleUnit:
     """One algorithm module with everything the passes inspect."""
 
     name: str
-    module: ModuleType
+    module: ModuleType | None
     schema: ModuleSchema
     file: str
     tree: ast.Module
-    views: list[AutomatonView]
-    irs: dict[str, AutomatonIR]  #: keyed by the view's dotted name
+    #: the schema's declared automata, in declaration order
+    automata: list[AutomatonIR]
 
 
 @dataclass
@@ -80,11 +87,7 @@ class PassContext:
     facts: dict[str, Any] = field(default_factory=dict)
 
     def automata(self) -> list[tuple[ModuleUnit, AutomatonIR]]:
-        return [
-            (unit, unit.irs[view.name])
-            for unit in self.units
-            for view in unit.views
-        ]
+        return [(unit, ir) for unit in self.units for ir in unit.automata]
 
 
 @dataclass

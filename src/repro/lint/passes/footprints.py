@@ -36,7 +36,7 @@ from typing import Any
 from ...checker import independence
 from ...core.system import input_register
 from ...runtime import ops
-from .base import LintPass, ModuleUnit, PassContext, PassResult
+from .base import AutomatonIR, LintPass, PassContext, PassResult
 from .registry import register_pass
 
 __all__ = ["StaticFootprints", "FootprintAudit"]
@@ -53,7 +53,7 @@ class StaticFootprints(LintPass):
     def run(self, ctx: PassContext) -> PassResult:
         result = PassResult()
         result.facts[STATIC_FOOTPRINTS_FACT] = {
-            f"{unit.name}.{ir.view.name}": ir.footprint.as_fact()
+            f"{unit.name}.{ir.name}": ir.footprint.as_fact()
             for unit, ir in ctx.automata()
         }
         return result
@@ -67,15 +67,17 @@ class FootprintAudit(LintPass):
 
     def run(self, ctx: PassContext) -> PassResult:
         result = PassResult()
-        units = {unit.name: unit for unit in ctx.units}
+        automata = {
+            (unit.name, ir.name): ir for unit, ir in ctx.automata()
+        }
         for run in ctx.battery or ():
-            self._audit_run(run, units, result)
+            self._audit_run(run, automata, result)
         return result
 
     def _audit_run(
         self,
         run: Any,
-        units: dict[str, ModuleUnit],
+        automata: dict[tuple[str, str], AutomatonIR],
         result: PassResult,
     ) -> None:
         trace = run.result.trace
@@ -97,7 +99,7 @@ class FootprintAudit(LintPass):
             )
             self._shadow_step(file, event, shadow, result)
             if not mandated:
-                self._coverage_step(file, event, run, units, result)
+                self._coverage_step(file, event, run, automata, result)
         return None
 
     # -- direction 1: shadow replay against op_footprint ---------------
@@ -199,15 +201,14 @@ class FootprintAudit(LintPass):
         file: str,
         event: Any,
         run: Any,
-        units: dict[str, ModuleUnit],
+        automata: dict[tuple[str, str], AutomatonIR],
         result: PassResult,
     ) -> None:
         located = run.automaton_of.get(event.pid.name)
         if located is None:
             return  # null automaton or out-of-scope pid
         module_name, automaton = located
-        unit = units.get(module_name)
-        ir = unit.irs.get(automaton) if unit is not None else None
+        ir = automata.get((module_name, automaton))
         if ir is None:
             result.findings.append(
                 self.finding(

@@ -28,12 +28,11 @@ from __future__ import annotations
 from ...runtime import ops
 from ..ir.cfg import CFG, CFGNode
 from ..ir.dataflow import nontrivial_sccs, reachable, reaches_any
+from ..protocol import OBSERVING_OPS
 from .base import AutomatonIR, LintPass, PassContext, PassResult
 from .registry import register_pass
 
 __all__ = ["ReachDecide"]
-
-_OBSERVING = (ops.Read, ops.Snapshot, ops.CompareAndSwap, ops.QueryFD)
 
 
 def _may_decide(node: CFGNode) -> bool:
@@ -77,9 +76,9 @@ class ReachDecide(LintPass):
     def run(self, ctx: PassContext) -> PassResult:
         result = PassResult()
         for unit, ir in ctx.automata():
-            if ir.view.kind != "C":
+            if ir.kind != "C":
                 continue
-            non_deciding = ir.view.name in unit.schema.non_deciding
+            non_deciding = ir.name in unit.schema.non_deciding
             if not non_deciding:
                 self._check_traps(unit.file, ir, result)
                 self._check_terminating_paths(unit.file, ir, result)
@@ -112,7 +111,7 @@ class ReachDecide(LintPass):
                     line=node.line,
                     kind="C",
                     message=(
-                        f"{ir.view.name}: reachable yielding code from "
+                        f"{ir.name}: reachable yielding code from "
                         "which no Decide or termination is reachable — "
                         "the process can enter this region and never "
                         "fulfil its decide obligation"
@@ -133,10 +132,10 @@ class ReachDecide(LintPass):
             result.findings.append(
                 self.finding(
                     file=file,
-                    line=ir.view.line,
+                    line=ir.line,
                     kind="C",
                     message=(
-                        f"{ir.view.name}: some execution path returns "
+                        f"{ir.name}: some execution path returns "
                         "without yielding Decide — the process would "
                         "halt undecided"
                     ),
@@ -158,7 +157,7 @@ class ReachDecide(LintPass):
             if not steps:
                 continue  # pure local computation
             if any(
-                y.is_from or y.dynamic or y.op in _OBSERVING
+                y.is_from or y.dynamic or y.op in OBSERVING_OPS
                 for y in steps
             ):
                 continue
@@ -178,7 +177,7 @@ class ReachDecide(LintPass):
                     line=line,
                     kind="C",
                     message=(
-                        f"{ir.view.name}: cycle yields steps but never "
+                        f"{ir.name}: cycle yields steps but never "
                         "observes shared state or advice; it cannot "
                         "terminate in response to other processes' "
                         "progress (wait-freedom violation)"

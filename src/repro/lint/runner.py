@@ -1,10 +1,10 @@
 """Lint orchestration: compile IR, resolve passes, run them in order.
 
 The runner walks :data:`repro.algorithms.__all__`, pairs each module
-with its declared :class:`~repro.lint.schema.ModuleSchema` from
-:data:`repro.algorithms.LINT_SCHEMAS`, compiles every declared
-automaton into CFG IR with a static register footprint
-(:mod:`repro.lint.ir`), and hands the resulting
+with its declared :class:`~repro.algorithms._schema.ModuleSchema`
+from :data:`repro.algorithms.LINT_SCHEMAS`, compiles every declared
+automaton into a CFG with a static register footprint
+(:func:`build_unit`, :mod:`repro.lint.ir`), and hands the resulting
 :class:`~repro.lint.passes.PassContext` to the registered passes in
 order.  A module without a schema (or a schema without a module) is
 itself a finding — the registry must stay complete for the lint gate
@@ -24,7 +24,9 @@ import ast
 import importlib
 from pathlib import Path
 from types import ModuleType
+from typing import Any
 
+from ..algorithms._schema import ModuleSchema
 from .findings import Finding, LintReport
 from .ir import build_cfg, infer_footprint
 from .passes import (
@@ -33,12 +35,16 @@ from .passes import (
     PassContext,
     resolve_passes,
 )
-from .protocol import extract_automata
-from .schema import ModuleSchema
-from .static_rules import ALL_RULES
+from .protocol import automaton_generator
 
-#: Rule ids of the original five AST protocol rules, in order.
-STATIC_RULE_IDS = tuple(rule.rule_id for rule in ALL_RULES)
+#: Rule ids of the five step-model rules, in order.
+STATIC_RULE_IDS = (
+    "CNoQuery",
+    "DecideOnce",
+    "NoCASInFaithful",
+    "BoundedLoops",
+    "RegisterNaming",
+)
 #: Rule ids of the semantic CFG passes (always-on, AST evidence).
 SEMANTIC_RULE_IDS = (
     "ReachDecide",
@@ -52,52 +58,48 @@ SEMANTIC_RULE_IDS = (
 DYNAMIC_RULE_IDS = ("FootprintAudit", "LostUpdate", "SnapshotRace")
 
 
-def lint_module(module: ModuleType, schema: ModuleSchema) -> list[Finding]:
-    """Apply the five legacy AST rules to one imported algorithm module.
-
-    Kept as the lightweight single-module entry point; the full pass
-    pipeline (IR, semantic passes, battery) runs via
-    :func:`lint_algorithms`.
-    """
-    unit = _build_unit(module.__name__.rsplit(".", 1)[-1], module, schema)
-    findings: list[Finding] = []
-    for rule_class in ALL_RULES:
-        rule = rule_class()
-        for view in unit.views:
-            findings.extend(rule.check(view, schema))
-    return findings
-
-
-def _build_unit(
-    name: str, module: ModuleType, schema: ModuleSchema
+def build_unit(
+    source: str,
+    schema: ModuleSchema,
+    *,
+    name: str = "<module>",
+    module: ModuleType | None = None,
+    namespace: dict[str, Any] | None = None,
+    file: str = "<module>",
 ) -> ModuleUnit:
-    file = getattr(module, "__file__", None) or "<module>"
-    source = Path(file).read_text()
+    """Compile every automaton ``schema`` declares in ``source``.
+
+    Names in yields resolve through ``namespace`` (by default the
+    globals of ``module``).  Raises
+    :class:`~repro.errors.SpecificationError` when the schema names a
+    function the source does not define.
+    """
+    if namespace is None:
+        namespace = dict(vars(module)) if module is not None else {}
+    module_name = module.__name__ if module is not None else name
     tree = ast.parse(source)
-    namespace = dict(vars(module))
-    views = extract_automata(
-        tree,
-        schema,
-        namespace=namespace,
-        file=file,
-        module_name=module.__name__,
-    )
-    irs = {
-        view.name: AutomatonIR(
-            view=view,
-            cfg=build_cfg(view.node, namespace, name=view.name),
-            footprint=infer_footprint(view),
+    automata = []
+    for dotted in schema.checked_functions:
+        generator = automaton_generator(tree, dotted, module_name)
+        cfg = build_cfg(generator, namespace, name=dotted)
+        automata.append(
+            AutomatonIR(
+                name=dotted,
+                kind=schema.kind_of(dotted),
+                file=file,
+                module_name=module_name,
+                node=generator,
+                cfg=cfg,
+                footprint=infer_footprint(cfg),
+            )
         )
-        for view in views
-    }
     return ModuleUnit(
         name=name,
         module=module,
         schema=schema,
         file=file,
         tree=tree,
-        views=views,
-        irs=irs,
+        automata=automata,
     )
 
 
@@ -123,7 +125,16 @@ def build_units() -> tuple[list[ModuleUnit], list[Finding]]:
                 )
             )
             continue
-        units.append(_build_unit(name, module, schema))
+        file = getattr(module, "__file__", None) or "<module>"
+        units.append(
+            build_unit(
+                Path(file).read_text(),
+                schema,
+                name=name,
+                module=module,
+                file=file,
+            )
+        )
     for name in schemas:
         findings.append(
             Finding(

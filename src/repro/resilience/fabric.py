@@ -129,6 +129,8 @@ class FabricStats:
     recovered_leases: int = 0
     readmitted_leases: int = 0
     spooled_results: int = 0
+    #: result frames received per worker name (duplicates included)
+    results_by_worker: dict[str, int] = field(default_factory=dict)
 
     def summary(self) -> str:
         mode = "degraded to local pool" if self.degraded else "fabric"
@@ -780,11 +782,14 @@ class FabricCoordinator:
             if index not in cells:
                 return  # not ours (stale worker from another run)
             conn.leases.discard(index)
+            name = conn.name or conn.peer
+            by_worker = self.stats.results_by_worker
+            by_worker[name] = by_worker.get(name, 0) + 1
             if conn.suspicion:
                 self._journal_event(
                     {
                         "kind": "bench",
-                        "worker": conn.name or conn.peer,
+                        "worker": name,
                         "suspicion": 0,
                         "penalty_until_unix": 0.0,
                     }

@@ -238,6 +238,9 @@ class TestFabricBackend:
         assert fabric.fabric is not None
         assert not fabric.fabric.degraded
         assert fabric.fabric.results == 4
+        by_worker = fabric.fabric.results_by_worker
+        assert sum(by_worker.values()) == 4
+        assert set(by_worker) <= {"w0", "w1"}
 
     def test_no_workers_degrades_to_local_pool(self):
         spec = smoke_campaign()

@@ -2,11 +2,13 @@
 footprint inference over synthetic automata."""
 
 import ast
+import sys
 import textwrap
 
-from repro.lint import ModuleSchema, extract_automata
+import pytest
+
+from repro.lint import ModuleSchema, build_unit
 from repro.lint.ir import (
-    build_cfg,
     forward_must,
     infer_footprint,
     nontrivial_sccs,
@@ -20,19 +22,17 @@ NAMESPACE = {"ops": ops, "PREFIX": "fam/"}
 
 def view_of(source, schema=None):
     schema = schema or ModuleSchema(c_automata=("auto",))
-    tree = ast.parse(textwrap.dedent(source))
-    return extract_automata(
-        tree,
+    return build_unit(
+        textwrap.dedent(source),
         schema,
+        name="<test>",
         namespace=NAMESPACE,
         file="<test>",
-        module_name="<test>",
-    )[0]
+    ).automata[0]
 
 
 def cfg_of(source, **kwargs):
-    view = view_of(source, **kwargs)
-    return build_cfg(view.node, NAMESPACE, name=view.name)
+    return view_of(source, **kwargs).cfg
 
 
 def node_with_line(cfg, line):
@@ -195,6 +195,53 @@ class TestCFGConstruction:
         # Both body statements may raise into the handler.
         assert len(handler_assign.preds) >= 2
 
+    def test_while_true_else_block_gets_unreachable_nodes(self):
+        cfg = cfg_of(
+            """
+            def auto(ctx):
+                while True:
+                    v = yield ops.Read("fam/x")
+                    if v:
+                        break
+                else:
+                    yield ops.Write("fam/dead", 0)
+                yield ops.Decide(1)
+            """
+        )
+        dead = next(
+            n
+            for n in cfg.stmt_nodes()
+            if n.yields and n.yields[0].op is ops.Write
+        )
+        assert dead.preds == []
+        assert dead.index not in reachable(cfg, [cfg.entry])
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="except* needs Python 3.11"
+    )
+    def test_try_star_is_built_like_try(self):
+        cfg = cfg_of(
+            """
+            def auto(ctx):
+                try:
+                    x = yield ops.Read("fam/a")
+                except* KeyError:
+                    yield ops.Write("fam/b", 1)
+                yield ops.Decide(1)
+            """
+        )
+        write = next(
+            n
+            for n in cfg.stmt_nodes()
+            if n.yields and n.yields[0].op is ops.Write
+        )
+        read = next(
+            n
+            for n in cfg.stmt_nodes()
+            if n.yields and n.yields[0].op is ops.Read
+        )
+        assert read.index in write.preds
+
     def test_defs_uses_and_advice(self):
         cfg = cfg_of(
             """
@@ -316,7 +363,7 @@ class TestFootprintInference:
                 yield ops.Decide(x)
             """
         )
-        fp = infer_footprint(view)
+        fp = infer_footprint(view.cfg)
         assert fp.closed
         assert fp.reads == frozenset({"fam/a"})
         assert fp.read_prefixes == frozenset({"fam/"})
@@ -339,7 +386,7 @@ class TestFootprintInference:
                 yield ops.Decide(1)
             """
         )
-        fp = infer_footprint(view)
+        fp = infer_footprint(view.cfg)
         assert fp.closed
         assert fp.write_prefixes == frozenset({"fam/"})
         assert fp.covers_write("fam/7")
@@ -352,7 +399,7 @@ class TestFootprintInference:
                 yield ops.Decide(held)
             """
         )
-        fp = infer_footprint(view)
+        fp = infer_footprint(view.cfg)
         assert "fam/lock" in fp.reads
         assert "fam/lock" in fp.writes
 
@@ -364,7 +411,7 @@ class TestFootprintInference:
                 yield ops.Decide(1)
             """
         )
-        fp = infer_footprint(view)
+        fp = infer_footprint(view.cfg)
         assert fp.delegated == 1
         assert not fp.closed
 
@@ -376,7 +423,7 @@ class TestFootprintInference:
                 yield op
             """
         )
-        fp = infer_footprint(view)
+        fp = infer_footprint(view.cfg)
         assert fp.unresolved == 1
         assert not fp.closed
 
@@ -389,7 +436,7 @@ class TestFootprintInference:
             """,
             schema=ModuleSchema(s_automata=("auto",)),
         )
-        fp = infer_footprint(view)
+        fp = infer_footprint(view.cfg)
         assert fp.queries
 
     def test_as_fact_is_json_ready(self):
@@ -400,7 +447,7 @@ class TestFootprintInference:
                 yield ops.Decide(x)
             """
         )
-        fact = infer_footprint(view).as_fact()
+        fact = infer_footprint(view.cfg).as_fact()
         assert fact["reads"] == ["fam/a"]
         assert fact["closed"] is True
         assert fact["decides"] is True

@@ -7,6 +7,9 @@ listed in ``EXEMPT`` with a reason, which keeps the exemption itself
 reviewable.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from repro import algorithms
@@ -53,3 +56,30 @@ class TestSchemaCompleteness:
 
     def test_schemas_match_public_exports(self):
         assert set(algorithms.LINT_SCHEMAS) == set(algorithms.__all__)
+
+
+class TestSchemaLocation:
+    def test_importing_the_algorithms_does_not_load_the_analyzer(self):
+        # The schemas live beside the algorithms so that campaign
+        # workers and the kernel cache pay for the algorithms only.
+        src = str(Path(algorithms.__file__).parents[2])
+        probe = (
+            "import sys, repro.algorithms; "
+            "print(sorted(m for m in ('repro.lint', 'repro.checker') "
+            "if m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
+        ).stdout
+        assert out.strip() == "[]"
+
+    def test_lint_reexports_the_schema_classes(self):
+        from repro import lint
+
+        assert lint.ModuleSchema is algorithms.ModuleSchema
+        assert lint.RegisterSchema is algorithms.RegisterSchema

@@ -1,7 +1,6 @@
 """Each static protocol rule fires on deliberately malformed automata
 and stays quiet on conforming ones."""
 
-import ast
 import textwrap
 
 import pytest
@@ -14,30 +13,32 @@ from repro.lint import (
     ModuleSchema,
     NoCASInFaithful,
     RegisterNaming,
+    PassContext,
     RegisterSchema,
-    extract_automata,
+    build_unit,
 )
 from repro.runtime import ops
 
 NAMESPACE = {"ops": ops, "PREFIX": "fam/"}
 
 
-def views_of(source, schema):
-    tree = ast.parse(textwrap.dedent(source))
-    return extract_automata(
-        tree,
+def unit_of(source, schema):
+    return build_unit(
+        textwrap.dedent(source),
         schema,
+        name="<test>",
         namespace=NAMESPACE,
         file="<test>",
-        module_name="<test>",
     )
 
 
+def views_of(source, schema):
+    return unit_of(source, schema).automata
+
+
 def run_rule(rule_class, source, schema):
-    findings = []
-    for view in views_of(source, schema):
-        findings.extend(rule_class().check(view, schema))
-    return findings
+    ctx = PassContext(units=[unit_of(source, schema)])
+    return rule_class().run(ctx).findings
 
 
 class TestCNoQuery:
@@ -65,6 +66,21 @@ class TestCNoQuery:
     def test_quiet_on_s_automaton_query(self):
         schema = ModuleSchema(s_automata=("bad_factory",))
         assert run_rule(CNoQuery, self.SOURCE, schema) == []
+
+    def test_fires_in_dead_while_true_else_block(self):
+        source = """\
+        def spinner(ctx):
+            while True:
+                value = yield ops.Read("fam/x")
+                if value:
+                    break
+            else:
+                yield ops.QueryFD()
+            yield ops.Decide(value)
+        """
+        schema = ModuleSchema(c_automata=("spinner",))
+        findings = run_rule(CNoQuery, source, schema)
+        assert [f.line for f in findings] == [7]
 
 
 class TestDecideOnce:
@@ -317,7 +333,7 @@ class TestExtraction:
         schema = ModuleSchema(subroutines=("Agreement.propose",))
         views = views_of(source, schema)
         assert [v.name for v in views] == ["Agreement.propose"]
-        assert len(views[0].yields) == 1
+        assert len(list(views[0].cfg.yields())) == 1
 
     def test_nested_defs_do_not_leak_yields(self):
         source = """\
@@ -328,4 +344,4 @@ class TestExtraction:
         """
         schema = ModuleSchema(c_automata=("outer",))
         views = views_of(source, schema)
-        assert [y.op for y in views[0].yields] == [ops.Decide]
+        assert [y.op for y in views[0].cfg.yields()] == [ops.Decide]
