@@ -49,6 +49,7 @@ Commands:
                             (--full for the nightly battery)
     bench                   run the tracked execution-core benchmark
                             suite and write BENCH_core.json
+                            (BENCH_smoke.json with --smoke)
 
 Interrupted-but-resumable commands (``chaos run`` with a journal,
 ``check`` with a checkpoint) exit with status 75 (``EX_TEMPFAIL``) and
@@ -570,11 +571,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         "smoke": args.smoke,
         "benchmarks": results,
     }
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+    # Smoke numbers never land in the tracked full-mode baseline.
+    out = args.out
+    if out is None:
+        out = "BENCH_smoke.json" if args.smoke else "BENCH_core.json"
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
-        print(f"results written to {args.out}")
+        print(f"results written to {out}")
     if args.baseline:
         problems = compare_against_baseline(
             results,
@@ -1073,8 +1078,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--out",
         metavar="PATH",
-        default="BENCH_core.json",
-        help="write results here (default: %(default)s)",
+        default=None,
+        help="write results here (default: BENCH_core.json, or "
+        "BENCH_smoke.json with --smoke)",
     )
     p.add_argument(
         "--baseline",

@@ -33,6 +33,7 @@ from ..core.history import History
 from ..detectors.base import FailureDetector
 from ..errors import SpecificationError
 from ..runtime.scheduler import (
+    Narrowing,
     RoundRobinScheduler,
     Scheduler,
     SchedulerView,
@@ -213,16 +214,16 @@ class PerturbedDetector(FailureDetector):
 # -- scheduler mutators ------------------------------------------------
 
 
-def _narrowed(view: SchedulerView, keep) -> SchedulerView:
-    candidates = tuple(pid for pid in view.candidates if keep(pid))
-    if not candidates:  # never starve the whole system
-        candidates = view.candidates
+def _narrowed_view(
+    view: SchedulerView, narrow: Narrowing, excluded: frozenset
+) -> SchedulerView:
+    """``view`` without the ``excluded`` candidates — or unchanged if
+    that would leave none (never starve the whole system)."""
+    kept, _ = narrow(view.candidates, excluded)
+    if not kept:
+        return view
     return SchedulerView(
-        time=view.time,
-        candidates=candidates,
-        started=view.started,
-        decided=view.decided,
-        participants=view.participants,
+        view.time, kept, view.started, view.decided, view.participants
     )
 
 
@@ -252,6 +253,7 @@ class BurstStarvationScheduler(Scheduler):
         self._inner = inner or RoundRobinScheduler()
         self._turn = 0
         self._victims: frozenset = frozenset()
+        self._narrow = Narrowing()
 
     def next(self, view: SchedulerView):
         self._require(view)
@@ -262,7 +264,7 @@ class BurstStarvationScheduler(Scheduler):
             size = self._rng.randrange(1, max(2, len(pool)))
             self._victims = frozenset(self._rng.sample(pool, size))
         if phase < self.burst:
-            view = _narrowed(view, lambda pid: pid not in self._victims)
+            view = _narrowed_view(view, self._narrow, self._victims)
         return self._inner.next(view)
 
 
@@ -286,10 +288,16 @@ class DecidedShadowScheduler(Scheduler):
         self._seen_decided: frozenset = frozenset()
         self._shadowed: frozenset = frozenset()
         self._shadow_left = 0
+        self._narrow = Narrowing()
 
     def next(self, view: SchedulerView):
         self._require(view)
-        if view.decided != self._seen_decided:
+        # Both kernels hand out one decided set until the next decision,
+        # so the identity test settles almost every step.
+        if (
+            view.decided is not self._seen_decided
+            and view.decided != self._seen_decided
+        ):
             self._shadowed = frozenset(
                 pid
                 for pid in view.candidates
@@ -301,7 +309,7 @@ class DecidedShadowScheduler(Scheduler):
             self._seen_decided = view.decided
         if self._shadow_left > 0:
             self._shadow_left -= 1
-            view = _narrowed(view, lambda pid: pid not in self._shadowed)
+            view = _narrowed_view(view, self._narrow, self._shadowed)
         return self._inner.next(view)
 
 
@@ -319,10 +327,16 @@ class PriorityInversionScheduler(Scheduler):
         self.relief = relief
         self._turn = 0
         self._fallback = RoundRobinScheduler()
+        self._last_cands: tuple | None = None
+        self._last_max = None
 
     def next(self, view: SchedulerView):
         self._require(view)
         self._turn += 1
         if self._turn % self.relief == 0:
             return self._fallback.next(view)
-        return max(view.candidates)
+        cands = view.candidates
+        if cands is not self._last_cands:  # identity cache, as Narrowing
+            self._last_cands = cands
+            self._last_max = max(cands)
+        return self._last_max

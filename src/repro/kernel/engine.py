@@ -22,11 +22,18 @@ Structure of a run:
   :func:`~repro.kernel.compiler.compile_automaton`; unsupported ones get
   a wrapper that drives their generator with the interpreter's exact
   dispatch;
-* the advance loop is specialized per scheduler: round-robin and
-  seeded-random runs skip :class:`SchedulerView` construction entirely
-  (their picks are provably identical over the maintained candidate
-  list), every other scheduler — and every traced run — goes through
-  the general view-building loop.
+* the advance loop is chosen by scheduler type alone, traced or not:
+  round-robin and seeded-random runs get their own loops, which skip
+  :class:`SchedulerView` construction entirely (their picks are provably
+  identical over the maintained candidate list) and record trace events
+  themselves.  Every other scheduler goes through the general loop,
+  which per step builds one positional :class:`SchedulerView` and calls
+  ``scheduler.next`` on it.  The view's candidates tuple is rebuilt only
+  when the live list shrinks, its started set only after a C-process's
+  first step, and its decided set only after a decide step, so between
+  those events wrappers see the same objects and their identity-keyed
+  caches (:class:`~repro.runtime.scheduler.Narrowing`, the round-robin
+  sort cache) hit.
 
 ``advance(limit)`` steps at most ``limit`` scheduler turns, which is
 what lets :mod:`repro.kernel.lanes` interleave many runs in lockstep.
@@ -131,7 +138,7 @@ class CompiledRun:
         self._undecided: set[int] = set(system.participants)
         self._started: set[int] = set()
         self._started_frozen: frozenset[int] | None = frozenset()
-        self._decided_frozen: frozenset[int] | None = frozenset()
+        self._decided_frozen: frozenset[int] = frozenset()
         self._events: list[TraceEvent] = []
         self._out: list[Any] = [None]
         self._ev: list[Any] = [None, None]
@@ -464,7 +471,6 @@ class CompiledRun:
                 raise ProtocolError("S-processes cannot decide")
             self._decisions[pid.index] = self._out[0]
             self._undecided.discard(pid.index)
-            self._decided_frozen = None
         try:
             live.remove(entry)
         except ValueError:
@@ -606,7 +612,8 @@ class CompiledRun:
         counts = self._counts
         undecided = self._undecided
         max_steps = self.max_steps
-        scheduler = self.scheduler
+        pick = self.scheduler.next
+        view_of = SchedulerView
         by_pid = self._by_pid
         participants = self.system.participants
         queue = self._crash_queue
@@ -620,6 +627,9 @@ class CompiledRun:
         # ``live`` only ever shrinks (finish/crash), so a length check is
         # enough to keep the candidates tuple fresh across steps.
         cands = tuple(entry[0] for entry in live)
+        # The decided set only grows on a status-2 step (the cold path
+        # below), so it is re-frozen there, not checked per step.
+        decided = self._decided_frozen
         finished = None
         while True:
             if time >= max_steps:
@@ -633,21 +643,15 @@ class CompiledRun:
                 break
             if time >= end:
                 break
-            if self._started_frozen is None:
-                self._started_frozen = frozenset(self._started)
-            if self._decided_frozen is None:
-                self._decided_frozen = frozenset(self._decisions)
+            # A C-process's first step (which may return any status)
+            # invalidates the started set.
+            started = self._started_frozen
+            if started is None:
+                started = self._started_frozen = frozenset(self._started)
             if len(cands) != len(live):
                 cands = tuple(entry[0] for entry in live)
-            view = SchedulerView(
-                time=time,
-                candidates=cands,
-                started=self._started_frozen,
-                decided=self._decided_frozen,
-                participants=participants,
-            )
             try:
-                pid = scheduler.next(view)
+                pid = pick(view_of(time, cands, started, decided, participants))
             except SchedulingError:
                 finished = "schedule_exhausted"
                 break
@@ -664,6 +668,10 @@ class CompiledRun:
                 next_crash = queue[pos][0] if pos < qlen else max_steps + 1
             if status:
                 self._finish_step(entry, status, live, time)
+                if status == 2:
+                    decided = self._decided_frozen = frozenset(
+                        self._decisions
+                    )
         self._crash_pos = pos
         self.time = time
         if finished is not None:

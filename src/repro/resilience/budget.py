@@ -44,7 +44,9 @@ class CellBudget:
             platform exposes it, peak RSS otherwise.
         poll_interval_s: watchdog polling period.  Enforcement latency
             is one poll interval, so budgets are accurate to roughly
-            this grain — plenty for second-scale deadlines.
+            this grain — plenty for second-scale deadlines.  A job that
+            ends before the next poll is still held to its deadline
+            when the watchdog is disarmed.
     """
 
     deadline_s: float | None = None
@@ -121,9 +123,16 @@ class BudgetWatchdog:
             )
 
     def disarm(self) -> None:
+        """Stop enforcing; a job that finished past its deadline exits
+        the worker as a timeout, exactly as a poll would have.  Without
+        this, a job overrunning by less than one poll interval passes or
+        times out depending on where the poll fell."""
         with self._lock:
             self._armed = False
+            deadline_at = self._deadline_at
             self._deadline_at = None
+        if deadline_at is not None and time.monotonic() >= deadline_at:
+            os._exit(EXIT_TIMEOUT)
 
     def _watch(self) -> None:  # pragma: no cover - exits via os._exit
         while True:

@@ -32,27 +32,10 @@ class FilteredScheduler(Scheduler):
     def next(self, view: SchedulerView) -> ProcessId:
         candidates = view.candidates
         for f in self._filters:
-            filtered = f(
-                SchedulerView(
-                    time=view.time,
-                    candidates=candidates,
-                    started=view.started,
-                    decided=view.decided,
-                    participants=view.participants,
-                )
-            )
-            candidates = tuple(filtered)
+            candidates = tuple(f(view._replace(candidates=candidates)))
         if not candidates:
             raise SchedulingError("all candidates filtered out")
-        return self._inner.next(
-            SchedulerView(
-                time=view.time,
-                candidates=candidates,
-                started=view.started,
-                decided=view.decided,
-                participants=view.participants,
-            )
-        )
+        return self._inner.next(view._replace(candidates=candidates))
 
 
 class KConcurrencyFilter:

@@ -268,11 +268,11 @@ class Executor:
 
     def view(self) -> SchedulerView:
         return SchedulerView(
-            time=self.time,
-            candidates=self.schedulable(),
-            started=self.started_c,
-            decided=self.decided_c,
-            participants=self.system.participants,
+            self.time,
+            self.schedulable(),
+            self.started_c,
+            self.decided_c,
+            self.system.participants,
         )
 
     # -- incremental schedulability maintenance -------------------------

@@ -15,16 +15,19 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ..core.process import ProcessId
 from ..errors import SchedulingError
 
 
-@dataclass(frozen=True)
-class SchedulerView:
+class SchedulerView(NamedTuple):
     """What a scheduler may observe when choosing the next step.
+
+    Immutable; built once per step by both kernels for every scheduler
+    they do not inline, so it is a named tuple (positional construction
+    is several times cheaper than a frozen dataclass's).  Narrowed views
+    keep every field but ``candidates``.
 
     Attributes:
         time: current global time (equals the step index; the paper's
@@ -55,6 +58,40 @@ class Scheduler(ABC):
     def _require(view: SchedulerView) -> None:
         if not view.candidates:
             raise SchedulingError("no schedulable process")
+
+
+class Narrowing:
+    """Identity-keyed split of a candidates tuple by an excluded set.
+
+    Calling it with ``(candidates, excluded)`` returns ``(kept,
+    dropped)``: the candidates not in ``excluded`` as a tuple in
+    candidate order, and the ones in it as a sorted list.  While neither
+    argument object changes — the kernels reuse one candidates tuple
+    until the candidate set changes, and wrappers keep one excluded set
+    per window — it returns the *same* objects, so an inner scheduler's
+    identity-keyed sort cache hits instead of re-sorting every step.  A
+    fresh but equal argument simply misses, and the split depends only
+    on content, so the cache can never change a pick.  Holding the key
+    objects keeps their ids from being recycled.
+    """
+
+    __slots__ = ("_cands", "_excluded", "_kept", "_dropped")
+
+    def __init__(self) -> None:
+        self._cands: tuple[ProcessId, ...] | None = None
+        self._excluded: frozenset | None = None
+        self._kept: tuple[ProcessId, ...] = ()
+        self._dropped: list[ProcessId] = []
+
+    def __call__(
+        self, candidates: tuple[ProcessId, ...], excluded: frozenset
+    ) -> tuple[tuple[ProcessId, ...], list[ProcessId]]:
+        if candidates is not self._cands or excluded is not self._excluded:
+            self._cands = candidates
+            self._excluded = excluded
+            self._kept = tuple(c for c in candidates if c not in excluded)
+            self._dropped = sorted(c for c in candidates if c in excluded)
+        return self._kept, self._dropped
 
 
 class RoundRobinScheduler(Scheduler):
@@ -116,12 +153,12 @@ class AdversarialScheduler(Scheduler):
         self._turn = 0
         self._victim_cursor = 0
         self._fallback = RoundRobinScheduler()
+        self._narrow = Narrowing()
 
     def next(self, view: SchedulerView) -> ProcessId:
         self._require(view)
         self._turn += 1
-        victims = sorted(c for c in view.candidates if c in self.victims)
-        others = tuple(c for c in view.candidates if c not in self.victims)
+        others, victims = self._narrow(view.candidates, self.victims)
         if victims and (self._turn % self.period == 0 or not others):
             # Rotate among victims with a dedicated cursor: indexing by
             # `_turn` would pin one victim forever whenever the period
@@ -130,14 +167,12 @@ class AdversarialScheduler(Scheduler):
             choice = victims[self._victim_cursor % len(victims)]
             self._victim_cursor += 1
             return choice
-        narrowed = SchedulerView(
-            time=view.time,
-            candidates=others,
-            started=view.started,
-            decided=view.decided,
-            participants=view.participants,
+        return self._fallback.next(
+            SchedulerView(
+                view.time, others, view.started, view.decided,
+                view.participants,
+            )
         )
-        return self._fallback.next(narrowed)
 
 
 class ExplicitScheduler(Scheduler):

@@ -20,7 +20,7 @@ from repro.core.failures import FailurePattern
 from repro.core.process import c_process, s_process
 from repro.detectors import Omega, TrivialDetector, VectorOmegaK
 from repro.errors import SpecificationError
-from repro.runtime.scheduler import SchedulerView
+from repro.runtime.scheduler import AdversarialScheduler, SchedulerView
 
 
 class TestCrashInjectors:
@@ -179,3 +179,139 @@ class TestSchedulerMutators:
     def test_inversion_relief_validated(self):
         with pytest.raises(SpecificationError):
             PriorityInversionScheduler(relief=1)
+
+
+# -- the identity caches cannot change a pick ----------------------------
+
+_C = tuple(c_process(i) for i in range(4))
+_S = tuple(s_process(i) for i in range(3))
+# Mid-run changes: a C-process starts, an S-process crashes, two
+# C-processes decide (each leaves the candidates and grows `decided`).
+_EVENTS = {
+    40: ("start", 2),
+    90: ("crash", _S[2]),
+    130: ("decide", 0),
+    200: ("start", 3),
+    230: ("decide", 1),
+}
+_MUTATORS = {
+    "burst": lambda: BurstStarvationScheduler(period=20, burst=8, seed=5),
+    "shadow": lambda: DecidedShadowScheduler(shadow=6),
+    "inversion": lambda: PriorityInversionScheduler(relief=4),
+    "adversarial": lambda: AdversarialScheduler([_C[2], _S[0]], period=5),
+}
+# Pick sequences of the implementation before the identity caches
+# (per-step filtered tuples, re-sorted every step), for the run below.
+_RECORDED = {
+    "burst": (
+        "p4 q1 p4 q1 p4 q1 p4 q1 p2 p3 p4 q1 q2 q3 p1 p2 p3 p4 q1 q2 "
+        "p2 p3 p4 q1 q3 p2 p3 p4 p1 p2 p3 p4 q1 q2 q3 p1 p2 p3 p4 q1 "
+        "p2 p4 q1 q2 q3 p2 p4 q1 q3 p1 p2 p3 p4 q1 q2 q3 p1 p2 p3 p4 "
+        "p3 q1 q2 p3 q1 q2 p3 q1 q2 q3 p1 p2 p3 p4 q1 q2 q3 p1 p2 p3 "
+        "p3 q2 p3 q2 p3 q2 p3 q2 q1 q2 p1 p2 p3 p4 q1 q2 p1 p2 p3 p4 "
+        "p1 p3 q1 q2 p1 p3 q1 q2 p1 p2 p3 p4 q1 q2 p1 p2 p3 p4 q1 q2 "
+        "p1 p3 p4 q1 q2 p1 p3 p4 p3 p4 p2 p3 p4 q1 q2 p2 p3 p4 q1 q2 "
+        "q1 q1 q1 q1 q1 q1 q1 q1 q1 q2 p2 p3 p4 q1 q2 p2 p3 p4 q1 q2 "
+        "p4 q1 p2 p4 q1 p2 p4 q1 q1 q2 p2 p3 p4 q1 q2 p2 p3 p4 q1 q2 "
+        "p2 p3 q1 p2 p3 q1 p2 p3 q1 q2 p2 p3 p4 q1 q2 p2 p3 p4 q1 q2 "
+        "q1 p2 p4 q1 p2 p4 q1 p2 q1 q2 p2 p3 p4 q1 q2 p2 p3 p4 q1 q2 "
+        "p4 q2 p2 p4 q2 p2 p4 q2 q1 q2 q1 q2 p3 p4 q1 q2 p3 p4 q1 q2 "
+        "q1 q2 q1 q2 q1 q2 q1 q2 p3 p4 q1 q2 p3 p4 q1 q2 p3 p4 q1 q2 "
+        "q1 q2 q1 q2 q1 q2 q1 q2 p3 p4 q1 q2 p3 p4 q1 q2 p3 p4 q1 q2 "
+        "q1 q2 q1 q2 q1 q2 q1 q2 p3 p4 q1 q2 p3 p4 q1 q2 p3 p4 q1 q2"
+    ),
+    "shadow": (
+        "p1 p2 p3 p4 q1 q2 q3 p1 p2 p3 p4 q1 q2 q3 p1 p2 p3 p4 q1 q2 "
+        "q3 p1 p2 p3 p4 q1 q2 q3 p1 p2 p3 p4 q1 q2 q3 p1 p2 p3 p4 q1 "
+        "q2 q3 p1 p2 p3 p4 q1 q2 q3 p1 p2 p3 p4 q1 q2 q3 p1 p2 p3 p4 "
+        "q1 q2 q3 p1 p2 p3 p4 q1 q2 q3 p1 p2 p3 p4 q1 q2 q3 p1 p2 p3 "
+        "p4 q1 q2 q3 p1 p2 p3 p4 q1 q2 p1 p2 p3 p4 q1 q2 p1 p2 p3 p4 "
+        "q1 q2 p1 p2 p3 p4 q1 q2 p1 p2 p3 p4 q1 q2 p1 p2 p3 p4 q1 q2 "
+        "p1 p2 p3 p4 q1 q2 p1 p2 p3 p4 q1 q2 p4 q1 q2 p4 p3 p4 q1 q2 "
+        "p2 p3 p4 q1 q2 p2 p3 p4 q1 q2 p2 p3 p4 q1 q2 p2 p3 p4 q1 q2 "
+        "p2 p3 p4 q1 q2 p2 p3 p4 q1 q2 p2 p3 p4 q1 q2 p2 p3 p4 q1 q2 "
+        "p2 p3 p4 q1 q2 p2 p3 p4 q1 q2 p2 p3 p4 q1 q2 p2 p3 p4 q1 q2 "
+        "p2 p3 p4 q1 q2 p2 p3 p4 q1 q2 p2 p3 p4 q1 q2 p2 p3 p4 q1 q2 "
+        "p2 p3 p4 q1 q2 p2 p3 p4 q1 q2 q1 q2 q1 q2 q1 q2 p3 p4 q1 q2 "
+        "p3 p4 q1 q2 p3 p4 q1 q2 p3 p4 q1 q2 p3 p4 q1 q2 p3 p4 q1 q2 "
+        "p3 p4 q1 q2 p3 p4 q1 q2 p3 p4 q1 q2 p3 p4 q1 q2 p3 p4 q1 q2 "
+        "p3 p4 q1 q2 p3 p4 q1 q2 p3 p4 q1 q2 p3 p4 q1 q2 p3 p4 q1 q2"
+    ),
+    "inversion": (
+        "q3 q3 q3 p1 q3 q3 q3 p2 q3 q3 q3 p3 q3 q3 q3 p4 q3 q3 q3 q1 "
+        "q3 q3 q3 q2 q3 q3 q3 q3 q3 q3 q3 p1 q3 q3 q3 p2 q3 q3 q3 p3 "
+        "q3 q3 q3 p4 q3 q3 q3 q1 q3 q3 q3 q2 q3 q3 q3 q3 q3 q3 q3 p1 "
+        "q3 q3 q3 p2 q3 q3 q3 p3 q3 q3 q3 p4 q3 q3 q3 q1 q3 q3 q3 q2 "
+        "q3 q3 q3 q3 q3 q3 q3 p1 q3 q3 q2 q1 q2 q2 q2 q2 q2 q2 q2 p1 "
+        "q2 q2 q2 p2 q2 q2 q2 p3 q2 q2 q2 p4 q2 q2 q2 q1 q2 q2 q2 q2 "
+        "q2 q2 q2 p1 q2 q2 q2 p2 q2 q2 q2 p4 q2 q2 q2 q1 q2 q2 q2 q2 "
+        "q2 q2 q2 p2 q2 q2 q2 p3 q2 q2 q2 p4 q2 q2 q2 q1 q2 q2 q2 q2 "
+        "q2 q2 q2 p2 q2 q2 q2 p3 q2 q2 q2 p4 q2 q2 q2 q1 q2 q2 q2 q2 "
+        "q2 q2 q2 p2 q2 q2 q2 p3 q2 q2 q2 p4 q2 q2 q2 q1 q2 q2 q2 q2 "
+        "q2 q2 q2 p2 q2 q2 q2 p3 q2 q2 q2 p4 q2 q2 q2 q1 q2 q2 q2 q2 "
+        "q2 q2 q2 p2 q2 q2 q2 p3 q2 q2 q2 p4 q2 q2 q2 q1 q2 q2 q2 q2 "
+        "q2 q2 q2 p3 q2 q2 q2 p4 q2 q2 q2 q1 q2 q2 q2 q2 q2 q2 q2 p3 "
+        "q2 q2 q2 p4 q2 q2 q2 q1 q2 q2 q2 q2 q2 q2 q2 p3 q2 q2 q2 p4 "
+        "q2 q2 q2 q1 q2 q2 q2 q2 q2 q2 q2 p3 q2 q2 q2 p4 q2 q2 q2 q1"
+    ),
+    "adversarial": (
+        "p1 p2 p4 q2 p3 q3 p1 p2 p4 q1 q2 q3 p1 p2 p3 p4 q2 q3 p1 q1 "
+        "p2 p4 q2 q3 p3 p1 p2 p4 q2 q1 q3 p1 p2 p4 p3 q2 q3 p1 p2 q1 "
+        "p4 q2 q3 p1 p3 p2 p4 q2 q3 q1 p1 p2 p4 q2 p3 q3 p1 p2 p4 q1 "
+        "q2 q3 p1 p2 p3 p4 q2 q3 p1 q1 p2 p4 q2 q3 p3 p1 p2 p4 q2 q1 "
+        "q3 p1 p2 p4 p3 q2 q3 p1 p2 q1 p1 p2 p4 q2 p3 p1 p2 p4 q2 q1 "
+        "p1 p2 p4 q2 p3 p1 p2 p4 q2 q1 p1 p2 p4 q2 p3 p1 p2 p4 q2 q1 "
+        "p1 p2 p4 q2 p3 p1 p2 p4 q2 q1 q2 p2 p4 q2 p3 p2 p4 q2 p2 q1 "
+        "p4 q2 p2 p4 p3 q2 p2 p4 q2 q1 p2 p4 q2 p2 p3 p4 q2 p2 p4 q1 "
+        "q2 p2 p4 q2 p3 p2 p4 q2 p2 q1 p4 q2 p2 p4 p3 q2 p2 p4 q2 q1 "
+        "p2 p4 q2 p2 p3 p4 q2 p2 p4 q1 q2 p2 p4 q2 p3 p2 p4 q2 p2 q1 "
+        "p4 q2 p2 p4 p3 q2 p2 p4 q2 q1 p2 p4 q2 p2 p3 p4 q2 p2 p4 q1 "
+        "q2 p2 p4 q2 p3 p2 p4 q2 p2 q1 p4 q2 p4 q2 p3 p4 q2 p4 q2 q1 "
+        "p4 q2 p4 q2 p3 p4 q2 p4 q2 q1 p4 q2 p4 q2 p3 p4 q2 p4 q2 q1 "
+        "p4 q2 p4 q2 p3 p4 q2 p4 q2 q1 p4 q2 p4 q2 p3 p4 q2 p4 q2 q1 "
+        "p4 q2 p4 q2 p3 p4 q2 p4 q2 q1 p4 q2 p4 q2 p3 p4 q2 p4 q2 q1"
+    ),
+}
+
+
+def _picks(make, *, reuse: bool) -> str:
+    """300 steps of one mutator.  ``reuse`` hands out one candidates
+    tuple and one started/decided set until they change, as both kernels
+    do; otherwise every step gets fresh but equal objects."""
+    live = [*_C, *_S]
+    started, decided = {0, 1}, set()
+    participants = frozenset(range(4))
+    cands, st, dec = tuple(live), frozenset(started), frozenset(decided)
+    sched = make()
+    picks = []
+    for t in range(300):
+        kind, arg = _EVENTS.get(t, (None, None))
+        if kind == "start":
+            started.add(arg)
+        elif kind == "crash":
+            live.remove(arg)
+        elif kind == "decide":
+            decided.add(arg)
+            live.remove(_C[arg])
+        if not reuse or kind is not None:
+            cands = tuple(live)
+            st, dec = frozenset(started), frozenset(decided)
+        view = SchedulerView(t, cands, st, dec, participants)
+        picks.append(sched.next(view).name)
+    return " ".join(picks)
+
+
+class TestIdentityCaches:
+    @pytest.mark.parametrize("name", sorted(_MUTATORS))
+    def test_reused_objects_pick_as_fresh_ones(self, name):
+        fresh = _picks(_MUTATORS[name], reuse=False)
+        reused = _picks(_MUTATORS[name], reuse=True)
+        assert fresh == reused
+        assert fresh == _RECORDED[name]
+
+    def test_view_rejects_attribute_assignment(self):
+        v = view()
+        with pytest.raises(AttributeError):
+            v.time = 5
+        with pytest.raises(AttributeError):
+            v.candidates = ()

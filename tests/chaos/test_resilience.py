@@ -7,6 +7,7 @@ byte-identical reports.
 """
 
 import multiprocessing
+import time
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.chaos.campaign import (
     Workload,
 )
 from repro.errors import CampaignInterrupted, ResilienceError
+from repro.resilience.budget import EXIT_TIMEOUT, BudgetWatchdog
 from repro.resilience import (
     AttemptFailure,
     CellBudget,
@@ -51,6 +53,14 @@ def specimen_spec(algorithm: str) -> CampaignSpec:
     )
 
 
+def _overrun_between_polls(budget: CellBudget) -> None:
+    watchdog = BudgetWatchdog(budget)
+    watchdog.start()
+    watchdog.arm()
+    time.sleep(0.01)
+    watchdog.disarm()
+
+
 class TestBudgetEnforcement:
     def test_spin_specimen_quarantines_as_timeout(self):
         report = run_campaign(
@@ -62,6 +72,17 @@ class TestBudgetEnforcement:
         assert not report.complete
         assert report.quarantined == report.records
         assert "quarantined" in report.render()
+
+    def test_job_ending_between_polls_still_times_out(self):
+        # The poll never comes during the job; disarming past the
+        # deadline must still exit the worker as a timeout.
+        budget = CellBudget(deadline_s=0.001, poll_interval_s=60.0)
+        worker = multiprocessing.get_context("spawn").Process(
+            target=_overrun_between_polls, args=(budget,)
+        )
+        worker.start()
+        worker.join(timeout=30)
+        assert worker.exitcode == EXIT_TIMEOUT
 
     def test_hog_specimen_quarantines_as_oom(self):
         # The worker forks from this process, so budget relative to the

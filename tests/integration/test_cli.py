@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -81,3 +83,22 @@ class TestChaosCLI:
     def test_chaos_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main(["chaos"])
+
+
+class TestBenchCLI:
+    def test_smoke_without_out_leaves_tracked_baseline(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        baseline = tmp_path / "BENCH_core.json"
+        baseline.write_bytes(b'{"tracked": "full-mode baseline"}\n')
+        before = baseline.read_bytes()
+        monkeypatch.chdir(tmp_path)
+        # The exit status reflects the overhead gates, not the output
+        # path, so it is not asserted here.
+        main(["bench", "--smoke"])
+        assert "results written to BENCH_smoke.json" in (
+            capsys.readouterr().out
+        )
+        assert baseline.read_bytes() == before
+        payload = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+        assert payload["smoke"] is True
